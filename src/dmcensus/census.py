@@ -1,22 +1,26 @@
 """Class census construction, the brute-force oracle, and catalog verification.
 
-Two independent routes produce the census for (p, d):
+Two independent routes produce the census for (p, d).  Both tally labeled
+matrices and hand the tally to _group_by_canonical, which canonicalizes each
+labeled matrix once and checks that every class holds p!/|Aut| of them.
 
-* build_census enumerates every labeled d-regular matrix, groups the matrices
-  by canonical form, and computes each class cardinality analytically as
-  (p!/|Aut|) * weight(canonical).
-* oracle_census enumerates every configuration word, projects each word onto
-  its matrix, and tallies raw word counts per canonical form, with no
-  counting formulas anywhere.
+* build_census counts each labeled d-regular matrix once and computes each
+  class cardinality analytically as (p!/|Aut|) * weight(canonical).
+* oracle_census counts configuration words per matrix and takes each class
+  cardinality as its raw word count, with no counting formula.
 
-compare_census cross-checks the two, and verify_against_catalog checks a
-census against the bundled reference catalog of class records.
+A CensusEntry stores its ClassId, canonical matrix and |Aut|; every other
+count is derived.  compare_census cross-checks the two routes: as both pass
+the p!/|Aut| check, equal cardinalities pin each class's word count to
+(p!/|Aut|) * weight.  verify_against_catalog checks a census against the
+bundled reference catalog.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -44,14 +48,11 @@ class CensusInvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class CensusEntry:
-    """One isomorphism class: canonical representative plus its exact counts."""
+    """One isomorphism class; the counts beyond ClassId and |Aut| are derived."""
 
     class_id: ClassId
     canonical: ArcMatrix
     aut_order: int
-    weight: int
-    labeled_matrix_count: int
-    representative: Monomial
 
     @property
     def p(self) -> int:
@@ -64,6 +65,21 @@ class CensusEntry:
     @property
     def cardinality(self) -> int:
         return self.class_id.cardinality
+
+    @property
+    def labeled_matrix_count(self) -> int:
+        """p!/|Aut|, the labeled matrices in the class (orbit-stabilizer)."""
+        return math.factorial(self.p) // self.aut_order
+
+    @property
+    def weight(self) -> int:
+        """weight(canonical, d), with d read off the canonical's row sum."""
+        rows = self.canonical.entries
+        return weight(self.canonical, sum(rows[0])) if rows else 1
+
+    @property
+    def representative(self) -> Monomial:
+        return matrix_to_monomial(self.canonical)
 
 
 @dataclass(frozen=True)
@@ -82,31 +98,37 @@ class CensusReport:
         return None
 
 
-def _finish_report(p, d, per_class, word_total=None) -> CensusReport:
-    # per_class: canonical ArcMatrix -> (aut_order, labeled_count, weight, cardinality)
-    entries = []
-    total = 0
-    for rank, canon in enumerate(sorted(per_class, key=lambda m: m.entries), start=1):
-        aut_order, labeled, wt, cardinality = per_class[canon]
-        entries.append(
-            CensusEntry(
-                ClassId(p, rank, cardinality),
-                canon,
-                aut_order,
-                wt,
-                labeled,
-                matrix_to_monomial(canon),
+def _group_by_canonical(tally) -> dict[ArcMatrix, tuple[int, int, int]]:
+    """Group a labeled rows -> count tally into canonical -> (aut_order, labeled, count).
+
+    labeled is the number of distinct labeled matrices in the class and count
+    the sum of their tallies.  By orbit-stabilizer, labeled * |Aut| == p!.
+    """
+    classes: dict[ArcMatrix, tuple[int, int, int]] = {}
+    for rows, count in tally.items():
+        result = canonical_form(ArcMatrix(rows))
+        aut_order, labeled, total = classes.get(result.canonical, (result.aut_order, 0, 0))
+        classes[result.canonical] = (aut_order, labeled + 1, total + count)
+    for canon, (aut_order, labeled, _) in classes.items():
+        if labeled * aut_order != math.factorial(canon.p):
+            raise CensusInvariantError(
+                f"class of {canon} has {labeled} labeled matrices and |Aut| = "
+                f"{aut_order}; orbit-stabilizer demands a product of {canon.p}!"
             )
-        )
-        total += cardinality
+    return classes
+
+
+def _finish_report(p: int, d: int, classes: dict[ArcMatrix, tuple[int, int]]) -> CensusReport:
+    """Rank classes (canonical -> (aut_order, cardinality)) and check the total."""
+    entries = []
+    for rank, canon in enumerate(sorted(classes, key=lambda m: m.entries), start=1):
+        aut_order, cardinality = classes[canon]
+        entries.append(CensusEntry(ClassId(p, rank, cardinality), canon, aut_order))
+    total = sum(entry.cardinality for entry in entries)
     expected = total_configurations(p, d)
     if total != expected:
         raise CensusInvariantError(
             f"census for p={p}, d={d} totals {total}, expected {expected}"
-        )
-    if word_total is not None and word_total != expected:
-        raise CensusInvariantError(
-            f"word stream for p={p}, d={d} produced {word_total} words, expected {expected}"
         )
     return CensusReport(p, d, tuple(entries), total)
 
@@ -114,61 +136,36 @@ def _finish_report(p, d, per_class, word_total=None) -> CensusReport:
 def build_census(p: int, d: int) -> CensusReport:
     """Census via canonical grouping and the orbit-stabilizer cardinality.
 
-    Every labeled regular matrix is canonicalized; each class contributes
-    p!/|Aut| labeled matrices (checked against the actual group size) and
-    cardinality (p!/|Aut|) * weight.
+    Each class has p!/|Aut| labeled matrices and cardinality (p!/|Aut|) * weight.
     """
-    seen: dict[ArcMatrix, int] = {}
-    aut_orders: dict[ArcMatrix, int] = {}
-    for matrix in enumerate_regular_matrices(p, d):
-        result = canonical_form(matrix)
-        seen[result.canonical] = seen.get(result.canonical, 0) + 1
-        aut_orders[result.canonical] = result.aut_order
-    fact_p = math.factorial(p)
-    per_class = {}
-    for canon, group_size in seen.items():
-        aut_order = aut_orders[canon]
-        if fact_p % aut_order:
-            raise CensusInvariantError(
-                f"|Aut| = {aut_order} does not divide {p}! for {canon}"
-            )
-        labeled = fact_p // aut_order
-        if labeled != group_size:
-            raise CensusInvariantError(
-                f"class of {canon} has {group_size} labeled matrices, "
-                f"orbit-stabilizer predicts {labeled}"
-            )
-        per_class[canon] = (aut_order, labeled, weight(canon, d), labeled * weight(canon, d))
-    return _finish_report(p, d, per_class)
+    tally = Counter(m.entries for m in enumerate_regular_matrices(p, d))
+    # count is labeled unless the stream repeats a matrix; the total check catches that
+    return _finish_report(
+        p,
+        d,
+        {
+            canon: (aut_order, count * weight(canon, d))
+            for canon, (aut_order, _, count) in _group_by_canonical(tally).items()
+        },
+    )
 
 
 def oracle_census(p: int, d: int) -> CensusReport:
-    """Census rebuilt by brute force: raw word tallies, no counting formulas."""
-    matrix_tally: dict[ArcMatrix, int] = {}
-    word_total = 0
-    for word in enumerate_words(p, d):
-        matrix = word_to_matrix(word, p, d)
-        matrix_tally[matrix] = matrix_tally.get(matrix, 0) + 1
-        word_total += 1
-    class_words: dict[ArcMatrix, int] = {}
-    class_matrices: dict[ArcMatrix, int] = {}
-    aut_orders: dict[ArcMatrix, int] = {}
-    for matrix, words in matrix_tally.items():
-        result = canonical_form(matrix)
-        canon = result.canonical
-        class_words[canon] = class_words.get(canon, 0) + words
-        class_matrices[canon] = class_matrices.get(canon, 0) + 1
-        aut_orders[canon] = result.aut_order
-    per_class = {}
-    for canon, cardinality in class_words.items():
-        labeled = class_matrices[canon]
-        if cardinality % labeled:
+    """Census rebuilt by brute force: raw word tallies, no counting formulas.
+
+    The grouping checks the labeled count of every class, and each class's
+    words must split evenly over its labeled matrices.
+    """
+    tally = Counter(word_to_matrix(word, p, d).entries for word in enumerate_words(p, d))
+    classes = {}
+    for canon, (aut_order, labeled, words) in _group_by_canonical(tally).items():
+        if words % labeled:
             raise CensusInvariantError(
-                f"class of {canon}: {cardinality} words over {labeled} matrices "
+                f"class of {canon}: {words} words over {labeled} matrices "
                 "is not an integer per-matrix count"
             )
-        per_class[canon] = (aut_orders[canon], labeled, cardinality // labeled, cardinality)
-    return _finish_report(p, d, per_class, word_total=word_total)
+        classes[canon] = (aut_order, words)
+    return _finish_report(p, d, classes)
 
 
 @dataclass(frozen=True)

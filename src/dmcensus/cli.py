@@ -25,8 +25,8 @@ from .census import (
     oracle_census,
     verify_against_catalog,
 )
-from .core import ArcMatrix, ClassId, ResourceLimitError
-from .monomial import Monomial, monomial_to_matrix, parse_monomial, print_monomial
+from .core import NODE_CAP, ArcMatrix, ClassId, ResourceLimitError
+from .monomial import monomial_to_matrix, parse_monomial
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -34,6 +34,8 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 CSV_COLUMNS = ["p", "d", "rank", "cardinality", "aut_order", "weight", "monomial"]
+COUNT_COLUMNS = CSV_COLUMNS[:-1]
+JSONL_KEYS = {*CSV_COLUMNS, "matrix"}
 
 
 def emit_dot(matrix: ArcMatrix) -> str:
@@ -51,11 +53,6 @@ def emit_dot(matrix: ArcMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _monomial_text(mono: Monomial) -> str:
-    style = "compact" if mono.max_node() <= 9 else "bracket"
-    return print_monomial(mono, style)
-
-
 def _catalog_rank_map(report: CensusReport) -> dict[int, int]:
     """Computed rank -> catalog rank, via the bundled catalog (empty off-catalog)."""
     if report.d != 2:
@@ -69,66 +66,84 @@ def _catalog_rank_map(report: CensusReport) -> dict[int, int]:
     return ranks
 
 
+def _record(report: CensusReport, entry: CensusEntry) -> dict:
+    """The CSV_COLUMNS fields of one class, shared by CSV rows and JSON lines."""
+    values = (report.p, report.d, entry.rank, entry.cardinality, entry.aut_order, entry.weight)
+    return dict(zip(CSV_COLUMNS, (*values, str(entry.representative))))
+
+
 def render_census_csv(report: CensusReport) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for entry in report.entries:
-        writer.writerow(
-            [
-                report.p,
-                report.d,
-                entry.rank,
-                entry.cardinality,
-                entry.aut_order,
-                entry.weight,
-                _monomial_text(entry.representative),
-            ]
-        )
+    writer = csv.DictWriter(buf, CSV_COLUMNS, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(_record(report, entry) for entry in report.entries)
     return buf.getvalue()
 
 
-def parse_census_csv(text: str) -> CensusReport:
-    """Rebuild a CensusReport from render_census_csv output (lossless)."""
-    reader = csv.reader(text.splitlines())
-    header = next(reader)
-    if header != CSV_COLUMNS:
-        raise ValueError(f"unexpected census CSV header: {header!r}")
+def _report_from_records(records: list[dict], source: str) -> CensusReport:
+    """Rebuild a CensusReport from the records (see _record) of CSV or JSON lines.
+
+    Raises ValueError unless the records are the d-regular classes of one
+    (p, d) census, p <= NODE_CAP, ranked 1, 2, ... in order, each with the
+    matrix, weight and cardinality derived from its monomial and |Aut|.
+    """
+    if not records:
+        raise ValueError(f"{source} has no records")
+    p, d = records[0]["p"], records[0]["d"]
     entries = []
-    p = d = None
-    for row in reader:
-        if not row:
-            continue
-        p, d = int(row[0]), int(row[1])
-        rank, cardinality, aut_order, wt = (int(v) for v in row[2:6])
-        mono = parse_monomial(row[6])
-        canonical = monomial_to_matrix(mono, p, d)
-        entries.append(
-            CensusEntry(
-                ClassId(p, rank, cardinality),
-                canonical,
-                aut_order,
-                wt,
-                math.factorial(p) // aut_order,
-                mono,
-            )
-        )
-    if p is None:
-        raise ValueError("census CSV has no data rows")
+    for rank, record in enumerate(records, start=1):
+        try:
+            if any(type(record[key]) is not int for key in COUNT_COLUMNS):
+                raise ValueError(f"{', '.join(COUNT_COLUMNS)} must be integers")
+            if not isinstance(record["monomial"], str):
+                raise ValueError("monomial must be text")
+            if (record["p"], record["d"]) != (p, d):
+                raise ValueError(f"p={record['p']}, d={record['d']} after p={p}, d={d}")
+            if not 0 <= p <= NODE_CAP or d < 1:
+                raise ValueError(f"p={p}, d={d} outside 0 <= p <= {NODE_CAP}, d >= 1")
+            if record["rank"] != rank:
+                raise ValueError(f"rank {record['rank']} where {rank} is due")
+            aut_order = record["aut_order"]
+            if aut_order < 1 or math.factorial(p) % aut_order:
+                raise ValueError(f"aut_order {aut_order} does not divide {p}!")
+            canonical = monomial_to_matrix(parse_monomial(record["monomial"]), p, d)
+            if "matrix" in record and record["matrix"] != [list(r) for r in canonical.entries]:
+                raise ValueError("matrix does not match the monomial")
+            entry = CensusEntry(ClassId(p, rank, record["cardinality"]), canonical, aut_order)
+            wt = entry.weight
+            derived = (wt, entry.labeled_matrix_count * wt)
+            if (record["weight"], record["cardinality"]) != derived:
+                raise ValueError(f"weight and cardinality are not the derived {derived}")
+        except ValueError as exc:
+            raise ValueError(f"{source} record {rank}: {exc}") from None
+        entries.append(entry)
     return CensusReport(p, d, tuple(entries), sum(e.cardinality for e in entries))
+
+
+def parse_census_csv(text: str) -> CensusReport:
+    """Rebuild a CensusReport from render_census_csv output (lossless).
+
+    Raises ValueError for any text that is not such output.
+    """
+    try:
+        rows = [row for row in csv.reader(text.splitlines()) if row]
+    except csv.Error as exc:
+        raise ValueError(f"census CSV: {exc}") from None
+    if not rows or rows[0] != CSV_COLUMNS:
+        raise ValueError(f"census CSV does not start with the header {','.join(CSV_COLUMNS)}")
+    records = []
+    for row in rows[1:]:
+        if len(row) != len(CSV_COLUMNS):
+            raise ValueError(f"census CSV row {row!r} does not have {len(CSV_COLUMNS)} fields")
+        records.append(dict(zip(CSV_COLUMNS, [*map(int, row[:-1]), row[-1]])))
+    return _report_from_records(records, "census CSV")
 
 
 def render_census_jsonl(report: CensusReport, catalog_ranks: dict[int, int]) -> str:
     lines = []
     for entry in report.entries:
         record = {
-            "p": report.p,
-            "d": report.d,
-            "rank": entry.rank,
-            "cardinality": entry.cardinality,
-            "aut_order": entry.aut_order,
-            "weight": entry.weight,
-            "monomial": _monomial_text(entry.representative),
+            **_record(report, entry),
             "matrix": [list(row) for row in entry.canonical.entries],
             "paper_rank": catalog_ranks.get(entry.rank),
         }
@@ -137,28 +152,23 @@ def render_census_jsonl(report: CensusReport, catalog_ranks: dict[int, int]) -> 
 
 
 def parse_census_jsonl(text: str) -> CensusReport:
-    """Rebuild a CensusReport from render_census_jsonl output (lossless)."""
-    entries = []
-    p = d = None
+    """Rebuild a CensusReport from render_census_jsonl output (lossless).
+
+    Raises ValueError for any text that is not such output; paper_rank is
+    not read back.
+    """
+    records = []
     for line in text.splitlines():
         if not line.strip():
             continue
-        record = json.loads(line)
-        p, d = record["p"], record["d"]
-        canonical = ArcMatrix(tuple(tuple(row) for row in record["matrix"]))
-        entries.append(
-            CensusEntry(
-                ClassId(p, record["rank"], record["cardinality"]),
-                canonical,
-                record["aut_order"],
-                record["weight"],
-                math.factorial(p) // record["aut_order"],
-                parse_monomial(record["monomial"]),
-            )
-        )
-    if p is None:
-        raise ValueError("census JSONL has no records")
-    return CensusReport(p, d, tuple(entries), sum(e.cardinality for e in entries))
+        try:
+            record = json.loads(line)
+        except RecursionError:
+            raise ValueError("census JSONL line nests too deeply") from None
+        if not isinstance(record, dict) or not JSONL_KEYS <= record.keys():
+            raise ValueError(f"census JSONL line {line!r} lacks the keys {sorted(JSONL_KEYS)}")
+        records.append(record)
+    return _report_from_records(records, "census JSONL")
 
 
 def render_census_text(report: CensusReport, catalog_ranks: dict[int, int]) -> str:
@@ -173,7 +183,7 @@ def render_census_text(report: CensusReport, catalog_ranks: dict[int, int]) -> s
         out.append(
             f"{entry.rank:4d}  {entry.cardinality:11d}  {entry.aut_order:9d}  "
             f"{entry.weight:6d}  {paper if paper is not None else '-':>5}  "
-            f"{_monomial_text(entry.representative)}"
+            f"{entry.representative}"
         )
     return "\n".join(out) + "\n"
 
@@ -187,12 +197,7 @@ def _render_report(report: CensusReport, fmt: str) -> str:
 
 
 def _cmd_census(args) -> int:
-    sys.stdout.write(_render_report(build_census(args.p, args.d), args.format))
-    return EXIT_OK
-
-
-def _cmd_oracle(args) -> int:
-    sys.stdout.write(_render_report(oracle_census(args.p, args.d), args.format))
+    sys.stdout.write(_render_report(args.build(args.p, args.d), args.format))
     return EXIT_OK
 
 
@@ -332,8 +337,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p_cmd.add_argument(
             "--format", choices=["jsonl", "csv", "text"], default="text"
         )
-    census.set_defaults(func=_cmd_census)
-    oracle.set_defaults(func=_cmd_oracle)
+    census.set_defaults(func=_cmd_census, build=build_census)
+    oracle.set_defaults(func=_cmd_census, build=oracle_census)
 
     verify = sub.add_parser(
         "verify", help="cross-check both censuses and verify against the catalog"

@@ -15,7 +15,7 @@ are normalized to sorted order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import ArcMatrix
 
@@ -47,14 +47,9 @@ class DegreeError(ValueError):
 
 @dataclass(frozen=True)
 class Monomial:
-    """Multiset of (source, target) arc factors, kept sorted; () is the constant 1.
-
-    p_hint optionally records the node count of the matrix a monomial was
-    derived from; it is advisory and excluded from equality.
-    """
+    """Multiset of (source, target) arc factors, kept sorted; () is the constant 1."""
 
     factors: tuple[tuple[int, int], ...] = ()
-    p_hint: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
         factors = tuple(sorted((int(i), int(j)) for i, j in self.factors))
@@ -220,4 +215,4 @@ def matrix_to_monomial(matrix: ArcMatrix) -> Monomial:
     for i, row in enumerate(matrix.entries, start=1):
         for j, mult in enumerate(row, start=1):
             factors.extend([(i, j)] * mult)
-    return Monomial(tuple(factors), p_hint=matrix.p)
+    return Monomial(tuple(factors))

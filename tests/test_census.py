@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -12,6 +13,8 @@ from dmcensus import (
     ClassId,
     DegreeError,
     build_census,
+    canonical_form,
+    enumerate_regular_matrices,
     class_lookup,
     compare_census,
     load_catalog,
@@ -20,6 +23,7 @@ from dmcensus import (
     total_configurations,
     verify_against_catalog,
 )
+from dmcensus.census import _group_by_canonical
 
 
 def test_census_two_nodes(census_d2):
@@ -33,6 +37,18 @@ def test_census_null_graph(census_d2):
     assert len(report.entries) == 1
     assert report.entries[0].cardinality == 1
     assert str(report.entries[0].representative) == "1"
+
+
+def test_grouping_rejects_a_class_short_of_a_labeled_matrix():
+    tally = Counter(m.entries for m in enumerate_regular_matrices(3, 2))
+    classes = _group_by_canonical(tally)
+    assert len(classes) == 8
+    # a double loop beside a complete 2-node digraph: |Aut| = 2, 3 labelings
+    missing = ((2, 0, 0), (0, 1, 1), (0, 1, 1))
+    assert classes[canonical_form(ArcMatrix(missing)).canonical][:2] == (2, 3)
+    del tally[missing]
+    with pytest.raises(CensusInvariantError, match="orbit-stabilizer"):
+        _group_by_canonical(tally)
 
 
 def test_census_three_nodes(census_d2):

@@ -1,8 +1,14 @@
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dmcensus
 from dmcensus import ArcMatrix, build_census, emit_dot, run_cli
@@ -78,6 +84,101 @@ def test_jsonl_round_trip(census_d2):
     for p in range(5):
         report = census_d2(p)
         assert parse_census_jsonl(render_census_jsonl(report, {})) == report
+
+
+CSV_HEADER = "p,d,rank,cardinality,aut_order,weight,monomial\n"
+JSONL_P1 = {"p": 1, "d": 2, "rank": 1, "cardinality": 1, "aut_order": 1,
+            "weight": 1, "monomial": "x11 x11", "matrix": [[2]], "paper_rank": 1}
+
+
+def jsonl_p1(**changes):
+    return json.dumps({**JSONL_P1, **changes})
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_census_csv, ""),
+        (parse_census_csv, CSV_HEADER),
+        (parse_census_csv, CSV_HEADER + "1,2,1,1,0,1,x11 x11\n"),
+        (parse_census_csv, CSV_HEADER + "1,2,1,1,1,2,x11 x11\n"),
+        (parse_census_csv, CSV_HEADER + "1,2,1,2,1,1,x11 x11\n"),
+        (parse_census_csv, CSV_HEADER + "1,2,1,1,1,1\n"),
+        (parse_census_csv, CSV_HEADER + "1,2,2,1,1,1,x11 x11\n"),
+        (parse_census_csv, CSV_HEADER + "1,2,1,1,1,1,x11\n"),
+        (parse_census_jsonl, jsonl_p1(aut_order=0)),
+        (parse_census_jsonl, "{}"),
+        (parse_census_jsonl, "[1]"),
+        (parse_census_jsonl, "[" * 100_000),
+        (parse_census_jsonl, jsonl_p1(matrix=[[3]])),
+        (parse_census_jsonl, jsonl_p1(weight=2)),
+        (parse_census_jsonl, jsonl_p1(p="1")),
+        (parse_census_jsonl, jsonl_p1(monomial=None)),
+    ],
+)
+def test_census_parsers_raise_value_error(parse, text):
+    with pytest.raises(ValueError):
+        parse(text)
+
+
+FORMATS = {
+    "csv": (render_census_csv, parse_census_csv),
+    "jsonl": (lambda report: render_census_jsonl(report, {}), parse_census_jsonl),
+}
+
+
+def assert_round_trip_or_value_error(fmt, text):
+    render, parse = FORMATS[fmt]
+    try:
+        report = parse(text)
+    except ValueError:
+        return
+    assert parse(render(report)) == report
+
+
+@settings(max_examples=80, derandomize=True, database=None)
+@given(
+    st.sampled_from(sorted(FORMATS)),
+    st.one_of(st.text(), st.text().map(lambda tail: CSV_HEADER + tail)),
+)
+def test_census_parsers_on_arbitrary_text(fmt, text):
+    assert_round_trip_or_value_error(fmt, text)
+
+
+def mutate_csv(text, index, column, value):
+    rows = list(csv.reader(text.splitlines()))
+    row = rows[1 + index % (len(rows) - 1)]
+    row[column % len(row)] = str(value)
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+def mutate_jsonl(text, index, column, value):
+    records = [json.loads(line) for line in text.splitlines()]
+    record = records[index % len(records)]
+    record[sorted(record)[column % len(record)]] = value
+    return "\n".join(json.dumps(r) for r in records) + "\n"
+
+
+@settings(max_examples=120, derandomize=True, database=None)
+@given(
+    st.sampled_from(sorted(FORMATS)),
+    st.integers(0, 3),
+    st.integers(0, 30),
+    st.integers(0, 30),
+    st.one_of(
+        st.integers(-3, 100),
+        st.integers(),
+        st.text(max_size=20),
+        st.none(),
+        st.lists(st.lists(st.integers(0, 4), max_size=4), max_size=4),
+    ),
+)
+def test_census_parsers_on_mutated_renders(census_d2, fmt, p, index, column, value):
+    render, _ = FORMATS[fmt]
+    mutate = mutate_csv if fmt == "csv" else mutate_jsonl
+    assert_round_trip_or_value_error(fmt, mutate(render(census_d2(p)), index, column, value))
 
 
 def test_census_runs_are_byte_identical(capsys):

@@ -154,13 +154,6 @@ def test_matrix_to_monomial_examples():
     )
 
 
-def test_matrix_to_monomial_records_p_hint():
-    mono = matrix_to_monomial(ArcMatrix(((2,),)))
-    assert mono.p_hint == 1
-    # p_hint is advisory and excluded from equality
-    assert mono == Monomial(((1, 1), (1, 1)))
-
-
 def test_matrix_monomial_round_trip():
     for d in (1, 2, 3):
         for p in range(0, 4):
