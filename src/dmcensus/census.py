@@ -1,13 +1,20 @@
 """Class census construction, the brute-force oracle, and catalog verification.
 
-Two independent routes produce the census for (p, d).  Both tally labeled
-matrices and hand the tally to _group_by_canonical, which canonicalizes each
+Two independent routes produce the census for (p, d).  Both hand
+(labeled matrix, count) pairs to _group_by_canonical, which canonicalizes each
 labeled matrix once and checks that every class holds p!/|Aut| of them.
 
-* build_census counts each labeled d-regular matrix once and computes each
+* build_census streams each labeled d-regular matrix once and computes each
   class cardinality analytically as (p!/|Aut|) * weight(canonical).
 * oracle_census counts configuration words per matrix and takes each class
   cardinality as its raw word count, with no counting formula.
+
+Matrices arrive validated (see generate) and are never rebuilt here.  The
+oracle tallies unchecked word projections as plain row tuples and builds one
+ArcMatrix per distinct matrix.  In place of a per-word check, _finish_report
+requires each class's canonical matrix to be d-regular: a word with a wrong
+multiset projects to a non-regular matrix, so its class fails this check (or
+the orbit-stabilizer one).
 
 A CensusEntry stores its ClassId, canonical matrix and |Aut|; every other
 count is derived.  compare_census cross-checks the two routes: as both pass
@@ -26,8 +33,8 @@ from importlib import resources
 from pathlib import Path
 
 from .canonical import canonical_form
-from .core import ArcMatrix, ClassId, total_configurations, weight
-from .generate import enumerate_regular_matrices, enumerate_words, word_to_matrix
+from .core import ArcMatrix, ClassId, is_regular, total_configurations, weight
+from .generate import _word_rows, enumerate_regular_matrices, enumerate_words
 from .monomial import (
     DegreeError,
     Monomial,
@@ -98,15 +105,16 @@ class CensusReport:
         return None
 
 
-def _group_by_canonical(tally) -> dict[ArcMatrix, tuple[int, int, int]]:
-    """Group a labeled rows -> count tally into canonical -> (aut_order, labeled, count).
+def _group_by_canonical(pairs) -> dict[ArcMatrix, tuple[int, int, int]]:
+    """Group (labeled matrix, count) pairs into canonical -> (aut_order, labeled, count).
 
-    labeled is the number of distinct labeled matrices in the class and count
-    the sum of their tallies.  By orbit-stabilizer, labeled * |Aut| == p!.
+    labeled is the number of pairs in the class and count the sum of their
+    counts.  Each labeled matrix must come once: by orbit-stabilizer,
+    labeled * |Aut| == p!.
     """
     classes: dict[ArcMatrix, tuple[int, int, int]] = {}
-    for rows, count in tally.items():
-        result = canonical_form(ArcMatrix(rows))
+    for matrix, count in pairs:
+        result = canonical_form(matrix)
         aut_order, labeled, total = classes.get(result.canonical, (result.aut_order, 0, 0))
         classes[result.canonical] = (aut_order, labeled + 1, total + count)
     for canon, (aut_order, labeled, _) in classes.items():
@@ -119,9 +127,11 @@ def _group_by_canonical(tally) -> dict[ArcMatrix, tuple[int, int, int]]:
 
 
 def _finish_report(p: int, d: int, classes: dict[ArcMatrix, tuple[int, int]]) -> CensusReport:
-    """Rank classes (canonical -> (aut_order, cardinality)) and check the total."""
+    """Rank classes (canonical -> (aut_order, cardinality)); check regularity and total."""
     entries = []
     for rank, canon in enumerate(sorted(classes, key=lambda m: m.entries), start=1):
+        if not is_regular(canon, d):
+            raise CensusInvariantError(f"class of {canon} is not {d}-regular")
         aut_order, cardinality = classes[canon]
         entries.append(CensusEntry(ClassId(p, rank, cardinality), canon, aut_order))
     total = sum(entry.cardinality for entry in entries)
@@ -138,16 +148,12 @@ def build_census(p: int, d: int) -> CensusReport:
 
     Each class has p!/|Aut| labeled matrices and cardinality (p!/|Aut|) * weight.
     """
-    tally = Counter(m.entries for m in enumerate_regular_matrices(p, d))
-    # count is labeled unless the stream repeats a matrix; the total check catches that
-    return _finish_report(
-        p,
-        d,
-        {
-            canon: (aut_order, count * weight(canon, d))
-            for canon, (aut_order, _, count) in _group_by_canonical(tally).items()
-        },
-    )
+    classes = _group_by_canonical((m, 1) for m in enumerate_regular_matrices(p, d))
+    cardinalities = {
+        canon: (aut_order, labeled * weight(canon, d))
+        for canon, (aut_order, labeled, _) in classes.items()
+    }
+    return _finish_report(p, d, cardinalities)
 
 
 def oracle_census(p: int, d: int) -> CensusReport:
@@ -156,9 +162,10 @@ def oracle_census(p: int, d: int) -> CensusReport:
     The grouping checks the labeled count of every class, and each class's
     words must split evenly over its labeled matrices.
     """
-    tally = Counter(word_to_matrix(word, p, d).entries for word in enumerate_words(p, d))
+    tally = Counter(_word_rows(word, p, d) for word in enumerate_words(p, d))
+    pairs = ((ArcMatrix(rows), words) for rows, words in tally.items())
     classes = {}
-    for canon, (aut_order, labeled, words) in _group_by_canonical(tally).items():
+    for canon, (aut_order, labeled, words) in _group_by_canonical(pairs).items():
         if words % labeled:
             raise CensusInvariantError(
                 f"class of {canon}: {words} words over {labeled} matrices "
@@ -227,15 +234,18 @@ class Catalog:
 
     @classmethod
     def from_csv_text(cls, text: str) -> "Catalog":
-        reader = csv.reader(text.splitlines())
+        """Parse catalog CSV text; raises ValueError for anything else."""
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("catalog CSV is empty") from None
+            rows = list(csv.reader(text.splitlines()))
+        except csv.Error as exc:
+            raise ValueError(f"catalog CSV: {exc}") from None
+        if not rows:
+            raise ValueError("catalog CSV is empty")
+        header = rows[0]
         if header != ["p", "rank", "cardinality", "monomial", "note"]:
             raise ValueError(f"unexpected catalog CSV header: {header!r}")
         records = []
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in enumerate(rows[1:], start=2):
             if not row:
                 continue
             if len(row) != 5:

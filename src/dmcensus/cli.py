@@ -11,9 +11,9 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 
+from .canonical import canonical_form
 from .census import (
     Catalog,
     CensusEntry,
@@ -25,7 +25,14 @@ from .census import (
     oracle_census,
     verify_against_catalog,
 )
-from .core import NODE_CAP, ArcMatrix, ClassId, ResourceLimitError
+from .core import (
+    NODE_CAP,
+    ArcMatrix,
+    ClassId,
+    CountBudgetError,
+    ResourceLimitError,
+    total_configurations,
+)
 from .monomial import monomial_to_matrix, parse_monomial
 
 EXIT_OK = 0
@@ -84,8 +91,10 @@ def _report_from_records(records: list[dict], source: str) -> CensusReport:
     """Rebuild a CensusReport from the records (see _record) of CSV or JSON lines.
 
     Raises ValueError unless the records are the d-regular classes of one
-    (p, d) census, p <= NODE_CAP, ranked 1, 2, ... in order, each with the
-    matrix, weight and cardinality derived from its monomial and |Aut|.
+    (p, d) census, p <= NODE_CAP, ranked 1, 2, ... by ascending canonical
+    matrix.  Each monomial must be the canonical form of its class and carry
+    the computed |Aut| and the derived matrix, weight and cardinality; the
+    cardinalities must sum to total_configurations(p, d).
     """
     if not records:
         raise ValueError(f"{source} has no records")
@@ -103,12 +112,17 @@ def _report_from_records(records: list[dict], source: str) -> CensusReport:
                 raise ValueError(f"p={p}, d={d} outside 0 <= p <= {NODE_CAP}, d >= 1")
             if record["rank"] != rank:
                 raise ValueError(f"rank {record['rank']} where {rank} is due")
-            aut_order = record["aut_order"]
-            if aut_order < 1 or math.factorial(p) % aut_order:
-                raise ValueError(f"aut_order {aut_order} does not divide {p}!")
             canonical = monomial_to_matrix(parse_monomial(record["monomial"]), p, d)
             if "matrix" in record and record["matrix"] != [list(r) for r in canonical.entries]:
                 raise ValueError("matrix does not match the monomial")
+            if entries and canonical.entries <= entries[-1].canonical.entries:
+                raise ValueError("classes do not ascend by canonical matrix")
+            result = canonical_form(canonical)
+            if result.canonical != canonical:
+                raise ValueError(f"monomial is not canonical; its class has {result.canonical}")
+            aut_order = record["aut_order"]
+            if result.aut_order != aut_order:
+                raise ValueError(f"aut_order {aut_order} is not the computed {result.aut_order}")
             entry = CensusEntry(ClassId(p, rank, record["cardinality"]), canonical, aut_order)
             wt = entry.weight
             derived = (wt, entry.labeled_matrix_count * wt)
@@ -117,7 +131,14 @@ def _report_from_records(records: list[dict], source: str) -> CensusReport:
         except ValueError as exc:
             raise ValueError(f"{source} record {rank}: {exc}") from None
         entries.append(entry)
-    return CensusReport(p, d, tuple(entries), sum(e.cardinality for e in entries))
+    total = sum(e.cardinality for e in entries)
+    try:
+        expected = total_configurations(p, d)
+    except CountBudgetError as exc:
+        raise ValueError(f"{source}: {exc}") from None
+    if total != expected:
+        raise ValueError(f"{source} cardinalities sum to {total}, not {expected}")
+    return CensusReport(p, d, tuple(entries), total)
 
 
 def parse_census_csv(text: str) -> CensusReport:

@@ -2,6 +2,12 @@
 
 Both streams are demand-driven, duplicate-free, and emitted in ascending
 lexicographic order so that downstream output is byte-stable across runs.
+
+This is where generated matrices enter the package and are validated: the
+matrix stream yields ArcMatrix objects, and word_to_matrix checks that its
+word is an arrangement of 1^d ... p^d.  _word_rows is the same projection to
+plain row tuples without that check; the word oracle in census uses it and
+checks regularity once per class instead of once per word.
 """
 
 from __future__ import annotations
@@ -83,17 +89,16 @@ def enumerate_words(p: int, d: int) -> Iterator[Word]:
         word[k + 1 :] = reversed(word[k + 1 :])
 
 
+def _word_rows(word: Word, p: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """word_to_matrix rows, unchecked: a symbol outside 1..p raises KeyError."""
+    grid = {s: [0] * p for s in range(1, p + 1)}
+    for pos, symbol in enumerate(word):
+        grid[symbol][pos // d] += 1
+    return tuple(map(tuple, grid.values()))
+
+
 def word_to_matrix(word: Word, p: int, d: int) -> ArcMatrix:
     """Project a word to its arc matrix: entry (i, j) counts symbol i in block j."""
-    if len(word) != d * p:
-        raise ValueError(f"word length {len(word)} != d*p = {d * p}")
-    grid = [[0] * p for _ in range(p)]
-    seen = [0] * p
-    for pos, symbol in enumerate(word):
-        if not 1 <= symbol <= p:
-            raise ValueError(f"symbol {symbol!r} out of range 1..{p}")
-        grid[symbol - 1][pos // d] += 1
-        seen[symbol - 1] += 1
-    if any(c != d for c in seen):
-        raise ValueError(f"each node name must occur exactly {d} times")
-    return ArcMatrix(tuple(tuple(row) for row in grid))
+    if sorted(word) != [s for s in range(1, p + 1) for _ in range(d)]:
+        raise ValueError(f"word is not an arrangement of 1..{p}, each {d} times")
+    return ArcMatrix(_word_rows(word, p, d))

@@ -76,7 +76,10 @@ def _scan_digits(text: str, pos: int) -> tuple[str, int]:
 
 
 def _node_value(digits: str, pos: int) -> int:
-    value = int(digits)
+    try:
+        value = int(digits)
+    except ValueError:  # more digits than the interpreter's int-string limit
+        raise MonomialParseError(f"node number too long ({len(digits)} digits)", pos) from None
     if value < 1:
         raise MonomialParseError("node names start at 1", pos)
     return value

@@ -1,9 +1,14 @@
+import csv
+import io
 import math
 from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dmcensus.census
 from dmcensus import (
     ArcMatrix,
     Catalog,
@@ -15,6 +20,7 @@ from dmcensus import (
     build_census,
     canonical_form,
     enumerate_regular_matrices,
+    enumerate_words,
     class_lookup,
     compare_census,
     load_catalog,
@@ -40,15 +46,31 @@ def test_census_null_graph(census_d2):
 
 
 def test_grouping_rejects_a_class_short_of_a_labeled_matrix():
-    tally = Counter(m.entries for m in enumerate_regular_matrices(3, 2))
-    classes = _group_by_canonical(tally)
+    tally = Counter(enumerate_regular_matrices(3, 2))
+    classes = _group_by_canonical(tally.items())
     assert len(classes) == 8
     # a double loop beside a complete 2-node digraph: |Aut| = 2, 3 labelings
-    missing = ((2, 0, 0), (0, 1, 1), (0, 1, 1))
-    assert classes[canonical_form(ArcMatrix(missing)).canonical][:2] == (2, 3)
+    missing = ArcMatrix(((2, 0, 0), (0, 1, 1), (0, 1, 1)))
+    assert classes[canonical_form(missing).canonical][:2] == (2, 3)
     del tally[missing]
     with pytest.raises(CensusInvariantError, match="orbit-stabilizer"):
-        _group_by_canonical(tally)
+        _group_by_canonical(tally.items())
+
+
+@pytest.mark.parametrize(
+    "replaced, error",
+    [
+        # (1,2,1,2) -> (1,1,1,2): a class of one labeled matrix with |Aut| = 1
+        ({(1, 2, 1, 2): (1, 1, 1, 2)}, "orbit-stabilizer"),
+        # both labelings of that non-regular matrix: only regularity fails
+        ({(1, 2, 1, 2): (1, 1, 1, 2), (2, 1, 2, 1): (1, 2, 2, 2)}, "not 2-regular"),
+    ],
+)
+def test_oracle_rejects_words_off_the_multiset(monkeypatch, replaced, error):
+    words = [replaced.get(w, w) for w in enumerate_words(2, 2)]
+    monkeypatch.setattr(dmcensus.census, "enumerate_words", lambda p, d: iter(words))
+    with pytest.raises(CensusInvariantError, match=error):
+        oracle_census(2, 2)
 
 
 def test_census_three_nodes(census_d2):
@@ -237,3 +259,32 @@ def test_load_catalog_rejects_bad_header(tmp_path):
 def test_reports_are_deterministic(census_d2):
     assert build_census(3, 2) == build_census(3, 2)
     assert build_census(4, 2) == census_d2(4)
+
+
+CATALOG_HEADER = "p,rank,cardinality,monomial,note\n"
+
+
+def csv_text(rows):
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+NUMBER = st.integers(-2, 99).map(str)
+ROW = st.one_of(
+    st.tuples(NUMBER, NUMBER, NUMBER, st.text(max_size=8), st.text(max_size=8)),
+    st.lists(st.one_of(NUMBER, st.text(max_size=8)), min_size=4, max_size=6),
+)
+CATALOG_ROWS = st.lists(ROW, max_size=4).map(lambda rows: CATALOG_HEADER + csv_text(rows))
+
+
+@settings(max_examples=100, derandomize=True, database=None)
+@given(st.one_of(st.text(), st.text().map(lambda tail: CATALOG_HEADER + tail), CATALOG_ROWS))
+def test_catalog_reader_fuzz(text):
+    try:
+        catalog = Catalog.from_csv_text(text)
+    except ValueError:
+        return
+    for record in catalog.records:
+        assert all(type(v) is int for v in (record.p, record.rank, record.cardinality))
+        assert isinstance(record.monomial, str) and isinstance(record.note, str)

@@ -95,6 +95,17 @@ def jsonl_p1(**changes):
     return json.dumps({**JSONL_P1, **changes})
 
 
+P3_CSV = render_census_csv(build_census(3, 2))
+# relabelings of canonical monomials; the second keeps the classes in ascending order
+P3_RELABELED = P3_CSV.replace("x13 x13 x22 x22 x31 x31", "x11 x11 x23 x23 x32 x32")
+P3_RELABELED_IN_ORDER = P3_CSV.replace("x11 x13 x21 x22 x32 x33", "x11 x12 x22 x23 x31 x33")
+P2_FIRST = "2,2,1,1,2,1,x12 x12 x21 x21\n"
+# the p=2 census with its first two classes swapped and reranked
+P2_UNSORTED = (
+    "2,2,1,4,2,4,x11 x12 x21 x22\n2,2,2,1,2,1,x12 x12 x21 x21\n2,2,3,1,2,1,x11 x11 x22 x22\n"
+)
+
+
 @pytest.mark.parametrize(
     "parse, text",
     [
@@ -114,6 +125,16 @@ def jsonl_p1(**changes):
         (parse_census_jsonl, jsonl_p1(weight=2)),
         (parse_census_jsonl, jsonl_p1(p="1")),
         (parse_census_jsonl, jsonl_p1(monomial=None)),
+        pytest.param(parse_census_csv, P3_RELABELED, id="p3-relabeled-class-1"),
+        pytest.param(parse_census_csv, P3_RELABELED_IN_ORDER, id="p3-relabeled-class-7"),
+        (parse_census_csv, CSV_HEADER + "2,2,1,2,1,1,x12 x12 x21 x21\n"),
+        (parse_census_csv, CSV_HEADER + P2_FIRST),
+        (parse_census_csv, CSV_HEADER + P2_UNSORTED),
+        pytest.param(
+            parse_census_csv,
+            CSV_HEADER + "2,34,1,1,2,1," + "x11 " * 34 + "x22 " * 33 + "x22\n",
+            id="total-over-count-budget",
+        ),
     ],
 )
 def test_census_parsers_raise_value_error(parse, text):
@@ -229,6 +250,13 @@ def test_verify_detects_tampered_catalog(tmp_path, capsys):
 def test_verify_missing_catalog_file(capsys):
     assert run_cli(["verify", "--paper-data", "/nonexistent/cat.csv"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_verify_oversized_catalog_field_exits_2(tmp_path, capsys):
+    big = tmp_path / "big.csv"
+    big.write_text("p,rank,cardinality,monomial,note\n2,1,1," + "x" * 200_000 + ",\n")
+    assert run_cli(["verify", "--paper-data", str(big)]) == 2
+    assert capsys.readouterr().err.startswith("error: catalog CSV: ")
 
 
 def test_lookup_null_graph(capsys):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmcensus import (
     ArcMatrix,
@@ -68,12 +70,38 @@ def test_parse_normalizes_order():
         ("x_{0,1}", 3),
         ("x11 $", 4),
         ("x11\nx12", 3),
+        pytest.param("x[" + "9" * 5000 + ",1]", 2, id="5000-digit-node"),
     ],
 )
 def test_parse_errors_with_offsets(text, offset):
     with pytest.raises(MonomialParseError) as excinfo:
         parse_monomial(text)
     assert excinfo.value.offset == offset
+
+
+NODE = st.integers(0, 12).map(str)
+FACTOR = st.one_of(
+    st.builds("x{}{}".format, NODE, NODE),
+    st.builds("x_{{{}{}}}".format, NODE, NODE),
+    st.builds("x_{{{},{}}}".format, NODE, NODE),
+    st.builds("x[{},{}]".format, NODE, NODE),
+)
+TOKENS = st.sampled_from(["x", "_", "{", "}", "[", "]", ",", "0", "1", "9", " ", "\t", "\n"])
+
+
+@settings(max_examples=100, derandomize=True, database=None)
+@given(st.one_of(
+    st.text(),
+    st.lists(FACTOR, min_size=1, max_size=6).map(" ".join),
+    st.lists(st.one_of(FACTOR, TOKENS), max_size=8).map("".join),
+))
+def test_parse_monomial_fuzz(text):
+    try:
+        mono = parse_monomial(text)
+    except MonomialParseError as exc:
+        assert 0 <= exc.offset <= len(text)
+        return
+    assert parse_monomial(print_monomial(mono, "bracket")) == mono
 
 
 def test_print_compact():
