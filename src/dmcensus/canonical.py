@@ -7,14 +7,37 @@ node v at target position k fixes the top-left (k+1) x (k+1) block, and a
 branch is abandoned as soon as an optimistic completion of its first k rows
 already compares greater than the best matrix found so far.  The optimistic
 completion fills each undetermined row tail with that row's remaining entries
-in ascending order, which lower-bounds every true completion, so the pruning
-is exact.  Orderings that realize the minimum form one coset of the
-automorphism group, so counting them yields |Aut(A)| for free.
+in ascending order, which lower-bounds every true completion, so this bound
+pruning never removes a branch that holds a minimal leaf.
 
-Results are memoized per matrix; census construction hits the same matrices
-many times.  The search takes the rows of an already validated ArcMatrix, and
-the witness self-check on each memo miss compares plain row tuples, so no
-matrix is rebuilt or revalidated here.
+The search also prunes with the automorphisms it finds (McKay, "Practical
+Graph Isomorphism", 1981; McKay & Piperno, 2014).  Let `first` be the first
+leaf found that equals the incumbent.  A later leaf `order` equal to the
+incumbent gives the automorphism g with g(first[i]) = order[i]; it stays an
+automorphism of A when the incumbent later improves.  If `order` first leaves
+`first` at level L, g fixes first[:L] pointwise and maps the subtree of
+first's child at level L onto the current child, so the rest of that child is
+skipped (backjump).  At a node with prefix P, a candidate in the orbit of an
+already tried sibling under the generators that fix P pointwise is skipped:
+its subtree is the image of that sibling's.  Neither cut removes the first
+minimal leaf in DFS order, since every minimal leaf it removes is the image
+of an earlier one, so the result and its witness do not depend on pruning.
+
+|Aut(A)| is the orbit-stabilizer product, over the levels L of the final
+`first` (the first minimal leaf), of the size of the orbit of first[L] under
+the found generators that fix first[:L] pointwise.  With the full pointwise
+stabilizer in place of the found generators the product is |Aut(A)|.  The
+found generators give the same orbit: a node w in the full orbit heads a
+child of first[:L] that holds a minimal leaf.  That child is either entered,
+and the first minimal leaf found in it yields a generator that fixes
+first[:L] and maps first[L] to w, or it is skipped as the image of a tried
+sibling under found generators that fix first[:L], and that sibling holds a
+minimal leaf too.
+
+Results are memoized per matrix in a bounded LRU cache; census construction
+hits the same matrices many times.  The search takes the rows of an already
+validated ArcMatrix, and the witness self-check on each memo miss compares
+plain row tuples, so no matrix is rebuilt or revalidated here.
 """
 
 from __future__ import annotations
@@ -23,6 +46,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import ArcMatrix, DimensionError, Permutation, check_node_cap
+
+# Memo capacity: every bench workload's distinct inputs fit (census-d2 needs
+# 6,518), while build_census(6,2) would otherwise keep 202,410 entries.
+_MEMO_SIZE = 2**15
 
 
 @dataclass(frozen=True)
@@ -35,14 +62,27 @@ class CanonicalResult:
     witness: Permutation
 
 
+def _orbit_cells(gens: list[list[int]], fixed, p: int) -> list[int]:
+    """Orbit label of each node under the generators that fix `fixed` pointwise."""
+    cell = list(range(p))
+    for g in gens:
+        if all(g[x] == x for x in fixed):
+            for x in range(p):
+                a, b = cell[x], cell[g[x]]
+                if a != b:
+                    cell = [a if c == b else c for c in cell]
+    return cell
+
+
 def _search(rows: tuple[tuple[int, ...], ...]):
     p = len(rows)
     if p == 0:
         return (), 1, ()
 
     best = [rows[a][b] for a in range(p) for b in range(p)]
-    count = 0
     witness_order = tuple(range(p))
+    first: tuple[int, ...] | None = None  # first leaf found that equals best
+    gens: list[list[int]] = []  # automorphisms found, as node maps
     order: list[int] = []
     unused = set(range(p))
 
@@ -70,35 +110,59 @@ def _search(rows: tuple[tuple[int, ...], ...]):
         tail = tuple(sorted(row[u] for u in unused if u != v))
         return known + (row[v],) + tail
 
-    def dfs():
-        nonlocal count, witness_order
+    def dfs() -> int:
+        # Returns the level to resume at: p when done normally, and L < p
+        # after an automorphism is found whose leaf first leaves `first` at
+        # level L, so that level's current child is abandoned.
+        nonlocal witness_order, first
         k = len(order)
         if k == p:
             flat = [rows[order[a]][order[b]] for a in range(p) for b in range(p)]
             if flat < best:
                 best[:] = flat
-                count = 1
-                witness_order = tuple(order)
+                first = witness_order = tuple(order)
             elif flat == best:
-                count += 1
-            return
+                if first is None:
+                    first = tuple(order)
+                    return p
+                g = [0] * p
+                for a, b in zip(first, order):
+                    g[a] = b
+                gens.append(g)
+                return next(level for level in range(p) if order[level] != first[level])
+            return p
+        tried: list[int] = []
+        known_gens, cells = 0, None
         for v in sorted(unused, key=lambda v: (candidate_key(v, k), v)):
+            if gens:
+                if known_gens != len(gens):
+                    known_gens, cells = len(gens), _orbit_cells(gens, order, p)
+                if any(cells[u] == cells[v] for u in tried):
+                    continue
+            tried.append(v)
             order.append(v)
             unused.remove(v)
-            if not exceeds_best(k + 1):
-                dfs()
+            level = p if exceeds_best(k + 1) else dfs()
             unused.add(v)
             order.pop()
+            if level < k:
+                return level
+        return p
 
     dfs()
+    aut_order = 1
+    if gens:
+        for level, v in enumerate(first):
+            cells = _orbit_cells(gens, first[:level], p)
+            aut_order *= cells.count(cells[v])
     canon = tuple(tuple(best[a * p : (a + 1) * p]) for a in range(p))
     images = [0] * p
     for position, v in enumerate(witness_order):
         images[v] = position
-    return canon, count, tuple(images)
+    return canon, aut_order, tuple(images)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _canonical_cached(rows: tuple[tuple[int, ...], ...]) -> CanonicalResult:
     canon_rows, aut_order, images = _search(rows)
     result = CanonicalResult(ArcMatrix(canon_rows), aut_order, Permutation(images))

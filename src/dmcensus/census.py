@@ -26,6 +26,7 @@ bundled reference catalog.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -235,17 +236,18 @@ class Catalog:
     @classmethod
     def from_csv_text(cls, text: str) -> "Catalog":
         """Parse catalog CSV text; raises ValueError for anything else."""
+        reader = csv.reader(io.StringIO(text, newline=""))
         try:
-            rows = list(csv.reader(text.splitlines()))
+            rows = [(reader.line_num, row) for row in reader]
         except csv.Error as exc:
             raise ValueError(f"catalog CSV: {exc}") from None
         if not rows:
             raise ValueError("catalog CSV is empty")
-        header = rows[0]
+        header = rows[0][1]
         if header != ["p", "rank", "cardinality", "monomial", "note"]:
             raise ValueError(f"unexpected catalog CSV header: {header!r}")
         records = []
-        for lineno, row in enumerate(rows[1:], start=2):
+        for lineno, row in rows[1:]:
             if not row:
                 continue
             if len(row) != 5:

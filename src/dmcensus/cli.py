@@ -147,7 +147,7 @@ def parse_census_csv(text: str) -> CensusReport:
     Raises ValueError for any text that is not such output.
     """
     try:
-        rows = [row for row in csv.reader(text.splitlines()) if row]
+        rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
     except csv.Error as exc:
         raise ValueError(f"census CSV: {exc}") from None
     if not rows or rows[0] != CSV_COLUMNS:

@@ -12,8 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# Canonicalization is factorial-time, so the node count is capped.  The cap is
-# generous: the desk-scale target is p <= 5.
+# The node count is capped.  Canonical search prunes with the automorphisms it
+# finds, so symmetric inputs are no longer factorial (2*I_10 takes
+# milliseconds), but the census enumerations still grow steeply with p.  The
+# cap is generous: the desk-scale target is p <= 5.
 NODE_CAP = 10
 
 # Every emitted count must fit a signed 64-bit integer so CSV/JSON consumers

@@ -1,7 +1,10 @@
 import math
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmcensus import (
     ArcMatrix,
@@ -14,7 +17,7 @@ from dmcensus import (
     canonical_form,
     enumerate_regular_matrices,
 )
-from dmcensus.canonical import clear_cache
+from dmcensus.canonical import _MEMO_SIZE, _canonical_cached, clear_cache
 
 from oracles import brute_aut_order, brute_canonical, brute_orbit_size
 
@@ -54,7 +57,8 @@ def test_aut_order_examples():
     assert automorphism_order(m) == 8
 
 
-@pytest.mark.parametrize("p,d", [(0, 2), (1, 2), (2, 2), (3, 2), (4, 2), (3, 1), (2, 3), (3, 3)])
+@pytest.mark.parametrize("p,d", [(0, 2), (1, 2), (2, 2), (3, 2), (4, 2), (3, 1), (4, 1), (5, 1),
+                                 (2, 3), (3, 3)])
 def test_exhaustive_agreement_with_brute_force(p, d):
     for m in enumerate_regular_matrices(p, d):
         result = canonical_form(m)
@@ -127,3 +131,121 @@ def test_clear_cache_smoke():
     first = canonical_form(m)
     clear_cache()
     assert canonical_form(m) == first
+
+
+# d=2 connected components with their |Aut|.
+COMPONENTS = {
+    "loop": (((2,),), 1),
+    "two_cycle": (((0, 2), (2, 0)), 2),
+    "bond": (((1, 1), (1, 1)), 2),
+    "three_cycle": (((0, 2, 0), (0, 0, 2), (2, 0, 0)), 3),
+    "looped_three_cycle": (((1, 1, 0), (0, 1, 1), (1, 0, 1)), 3),
+}
+
+
+def disjoint_union(blocks):
+    """Block-diagonal union of (component, multiplicity) pairs, with the
+    closed form |Aut| = prod |Aut c|^m * m! over non-isomorphic components."""
+    parts, aut = [], 1
+    for name, count in blocks:
+        rows, comp_aut = COMPONENTS[name]
+        parts += [rows] * count
+        aut *= comp_aut**count * math.factorial(count)
+    p = sum(len(rows) for rows in parts)
+    grid, offset = [[0] * p for _ in range(p)], 0
+    for rows in parts:
+        for i, row in enumerate(rows):
+            grid[offset + i][offset : offset + len(row)] = row
+        offset += len(rows)
+    return ArcMatrix(tuple(map(tuple, grid))), aut
+
+
+UNIONS = (
+    [(("loop", p),) for p in range(1, 11)]
+    + [(("two_cycle", k),) for k in range(1, 6)]
+    + [
+        (("three_cycle", 3),),
+        (("loop", 4), ("two_cycle", 3)),
+        (("loop", 2), ("two_cycle", 2), ("three_cycle", 1)),
+        (("loop", 1), ("two_cycle", 3), ("three_cycle", 1)),
+        (("bond", 2), ("two_cycle", 2), ("loop", 2)),
+        (("looped_three_cycle", 2), ("three_cycle", 1), ("loop", 1)),
+        (("bond", 1), ("looped_three_cycle", 1), ("three_cycle", 1), ("two_cycle", 1)),
+    ]
+)
+
+
+@pytest.mark.parametrize("blocks", UNIONS,
+                         ids=lambda blocks: "+".join(f"{count}{name}" for name, count in blocks))
+def test_aut_order_of_disjoint_unions(blocks):
+    m, aut = disjoint_union(blocks)
+    result = canonical_form(m)
+    assert result.aut_order == aut
+    assert apply_permutation(m, result.witness) == result.canonical
+    rng = random.Random(m.p)
+    for _ in range(3):
+        relabeled = apply_permutation(m, random_permutation(rng, m.p))
+        other = canonical_form(relabeled)
+        assert other.canonical == result.canonical
+        assert other.aut_order == aut
+        assert apply_permutation(relabeled, other.witness) == other.canonical
+
+
+def centralizer_order(images):
+    """z_lambda = prod i^m_i * m_i! over the cycle type of a permutation."""
+    lengths, seen = [], set()
+    for start in range(len(images)):
+        length, node = 0, start
+        while node not in seen:
+            seen.add(node)
+            node = images[node]
+            length += 1
+        if length:
+            lengths.append(length)
+    z = 1
+    for length, m in Counter(lengths).items():
+        z *= length**m * math.factorial(m)
+    return z
+
+
+def test_permutation_matrices_have_centralizer_automorphisms():
+    classes = set()
+    for m in enumerate_regular_matrices(6, 1):
+        images = tuple(row.index(1) for row in m.entries)
+        result = canonical_form(m)
+        assert result.aut_order == centralizer_order(images)
+        classes.add(result.canonical)
+    assert len(classes) == 11
+
+
+def test_memo_is_bounded():
+    info = _canonical_cached.cache_info()
+    assert info.maxsize == _MEMO_SIZE
+    # every distinct input of a d=2, p<=5 census fits without eviction
+    assert _MEMO_SIZE >= sum(1 for p in range(6) for _ in enumerate_regular_matrices(p, 2))
+
+
+@st.composite
+def regular_matrices(draw):
+    """A d-regular matrix as a sum of d permutation matrices, and a relabeling."""
+    p, d = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    grid = [[0] * p for _ in range(p)]
+    for _ in range(d):
+        for i, j in enumerate(draw(st.permutations(range(p)))):
+            grid[i][j] += 1
+    relabeling = Permutation(tuple(draw(st.permutations(range(p)))))
+    return ArcMatrix(tuple(map(tuple, grid))), relabeling
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(regular_matrices())
+def test_canonical_search_fuzz(case):
+    m, relabeling = case
+    result = canonical_form(m)
+    other = canonical_form(apply_permutation(m, relabeling))
+    assert (other.canonical, other.aut_order) == (result.canonical, result.aut_order)
+    assert apply_permutation(m, result.witness) == result.canonical
+    assert apply_permutation(apply_permutation(m, relabeling), other.witness) == other.canonical
+    if m.p <= 6:
+        assert result.canonical.entries == brute_canonical(m.entries)
+        assert result.aut_order == brute_aut_order(m.entries)

@@ -288,3 +288,21 @@ def test_catalog_reader_fuzz(text):
     for record in catalog.records:
         assert all(type(v) is int for v in (record.p, record.rank, record.cardinality))
         assert isinstance(record.monomial, str) and isinstance(record.note, str)
+
+
+@pytest.mark.parametrize("terminator", ["\n", "\r\n"])
+@pytest.mark.parametrize("note", ["a\nb", "a\r\nb", "a\u2028b"])
+def test_catalog_keeps_line_breaks_in_quoted_notes(note, terminator):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=terminator)
+    writer.writerows([CATALOG_HEADER.strip().split(","), [2, 1, 4, "x11 x12 x22 x21", note],
+                      [], [2, 2, 1, "x12 x12 x21 x21", ""]])
+    catalog = Catalog.from_csv_text(out.getvalue())
+    assert [r.note for r in catalog.records] == [note, ""]
+    assert [r.rank for r in catalog.records] == [1, 2]
+
+
+def test_catalog_error_line_counts_quoted_line_breaks():
+    text = CATALOG_HEADER + '2,1,4,x11,"two\nlines"\n\n2,2,1\n'
+    with pytest.raises(ValueError, match="line 5: expected 5 fields, got 3"):
+        Catalog.from_csv_text(text)
