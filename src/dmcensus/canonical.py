@@ -47,8 +47,9 @@ from functools import lru_cache
 
 from .core import ArcMatrix, DimensionError, Permutation, check_node_cap
 
-# Memo capacity: every bench workload's distinct inputs fit (census-d2 needs
-# 6,518), while build_census(6,2) would otherwise keep 202,410 entries.
+# Memo capacity.  A census searches one matrix per class, so census inputs
+# are few (397 classes at p=6, d=2); the size leaves room for callers that
+# canonicalize many labeled matrices, such as the 6,518 of d=2, p<=5.
 _MEMO_SIZE = 2**15
 
 

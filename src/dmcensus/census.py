@@ -1,8 +1,13 @@
 """Class census construction, the brute-force oracle, and catalog verification.
 
 Two independent routes produce the census for (p, d).  Both hand
-(labeled matrix, count) pairs to _group_by_canonical, which canonicalizes each
-labeled matrix once and checks that every class holds p!/|Aut| of them.
+(labeled matrix, count) pairs to _group_by_canonical, which runs one
+canonical search per class, on the first matrix of the class to arrive, and
+assigns the later ones by brute force: the searched matrix's p! relabelings
+are listed, and each later matrix must be one of them.  Each search is
+checked against that orbit (its canonical matrix is the least relabeling,
+and len(orbit) * |Aut| == p!), and every class must hold p!/|Aut| labeled
+matrices, each arriving once.
 
 * build_census streams each labeled d-regular matrix once and computes each
   class cardinality analytically as (p!/|Aut|) * weight(canonical).
@@ -31,6 +36,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain, permutations
 from pathlib import Path
 
 from .canonical import canonical_form
@@ -110,14 +116,47 @@ def _group_by_canonical(pairs) -> dict[ArcMatrix, tuple[int, int, int]]:
     """Group (labeled matrix, count) pairs into canonical -> (aut_order, labeled, count).
 
     labeled is the number of pairs in the class and count the sum of their
-    counts.  Each labeled matrix must come once: by orbit-stabilizer,
-    labeled * |Aut| == p!.
+    counts.  The first matrix of each class gets the one canonical search for
+    that class, and its orbit, all p! relabelings by brute force, goes into
+    `pending`; a later matrix of the class is found there, not searched.  The
+    search must agree with the orbit: its canonical matrix is the least
+    relabeling, and len(orbit) * |Aut| == p!.  No labeled matrix may arrive
+    twice, and by orbit-stabilizer labeled * |Aut| == p!; with the orbit
+    check this means every relabeling arrived, so `pending` ends empty
+    without a check of its own.
+
+    `pending` keys are the bytes of the row-major entries, so entries must be
+    below 256: for p >= 2 the count budget caps d at 33, and at p <= 1
+    `pending` stays empty and no key is built.
     """
     classes: dict[ArcMatrix, tuple[int, int, int]] = {}
+    pending: dict[bytes, ArcMatrix] = {}  # relabeling not yet streamed -> canonical
     for matrix, count in pairs:
-        result = canonical_form(matrix)
-        aut_order, labeled, total = classes.get(result.canonical, (result.aut_order, 0, 0))
-        classes[result.canonical] = (aut_order, labeled + 1, total + count)
+        rows = matrix.entries
+        canon = pending.pop(bytes(chain.from_iterable(rows)), None) if pending else None
+        if canon is None:
+            result = canonical_form(matrix)
+            canon, p = result.canonical, matrix.p
+            if canon in classes:
+                raise CensusInvariantError(f"labeled matrix {matrix} arrived twice")
+            orbit = {
+                tuple(rows[i][j] for i in perm for j in perm)
+                for perm in permutations(range(p))
+            }
+            if min(orbit) != tuple(chain.from_iterable(canon.entries)):
+                raise CensusInvariantError(
+                    f"canonical form {canon} is not the least relabeling of {matrix}"
+                )
+            if len(orbit) * result.aut_order != math.factorial(p):
+                raise CensusInvariantError(
+                    f"{matrix} has {len(orbit)} relabelings, but the search gives "
+                    f"|Aut| = {result.aut_order}; their product must be {p}!"
+                )
+            orbit.remove(tuple(chain.from_iterable(rows)))
+            pending.update(dict.fromkeys(map(bytes, orbit), canon))
+            classes[canon] = (result.aut_order, 0, 0)
+        aut_order, labeled, total = classes[canon]
+        classes[canon] = (aut_order, labeled + 1, total + count)
     for canon, (aut_order, labeled, _) in classes.items():
         if labeled * aut_order != math.factorial(canon.p):
             raise CensusInvariantError(

@@ -39,10 +39,11 @@ def enumerate_regular_matrices(p: int, d: int) -> Iterator[ArcMatrix]:
     Rows are filled top-down with weak compositions of d, pruning any partial
     assignment whose running column sum exceeds d; the last row is forced by
     the remaining column deficits.  Output is ascending in row-major order.
+    As in enumerate_words, a (p, d) whose configuration count exceeds the
+    count budget fails before any enumeration.
     """
     check_node_cap(p)
-    if d < 1:
-        raise ValueError("d must be a positive integer")
+    total_configurations(p, d)
     if p == 0:
         yield ArcMatrix(())
         return

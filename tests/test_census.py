@@ -16,6 +16,7 @@ from dmcensus import (
     CensusInvariantError,
     CensusReport,
     ClassId,
+    CountBudgetError,
     DegreeError,
     build_census,
     canonical_form,
@@ -29,6 +30,7 @@ from dmcensus import (
     total_configurations,
     verify_against_catalog,
 )
+from dmcensus.canonical import clear_cache
 from dmcensus.census import _group_by_canonical
 
 
@@ -56,6 +58,62 @@ def test_grouping_rejects_a_class_short_of_a_labeled_matrix():
     with pytest.raises(CensusInvariantError, match="orbit-stabilizer"):
         _group_by_canonical(tally.items())
 
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_grouping_rejects_a_repeated_labeled_matrix(p):
+    stream = list(enumerate_regular_matrices(p, 2))
+    stream.append(stream[-1])
+    with pytest.raises(CensusInvariantError, match="arrived twice"):
+        _group_by_canonical((m, 1) for m in stream)
+
+
+@pytest.mark.parametrize(
+    "change, error",
+    [
+        # the same class, relabeled by i -> p-1-i: not lex-min for some class
+        (
+            lambda r: replace(
+                r, canonical=ArcMatrix(tuple(row[::-1] for row in r.canonical.entries[::-1]))
+            ),
+            "not the least relabeling",
+        ),
+        (lambda r: replace(r, aut_order=2 * r.aut_order), "the search gives"),
+    ],
+    ids=["non-minimal canonical", "wrong aut_order"],
+)
+def test_grouping_checks_each_search_against_its_orbit(monkeypatch, change, error):
+    monkeypatch.setattr(dmcensus.census, "canonical_form", lambda m: change(canonical_form(m)))
+    with pytest.raises(CensusInvariantError, match=error):
+        build_census(3, 2)
+
+
+@pytest.mark.parametrize(
+    "build, p, d, classes",
+    [(build_census, 5, 2, 85), (oracle_census, 4, 3, 118), (build_census, 6, 1, 11)],
+)
+def test_one_canonical_search_per_class(monkeypatch, build, p, d, classes):
+    searched = []
+    monkeypatch.setattr(
+        dmcensus.census, "canonical_form", lambda m: searched.append(m) or canonical_form(m)
+    )
+    clear_cache()
+    report = build(p, d)
+    assert len(report.entries) == len(searched) == classes
+    if build is build_census:
+        # the ascending stream meets each class at its canonical matrix first
+        assert searched == [entry.canonical for entry in report.entries]
+
+
+@pytest.mark.parametrize("build", [build_census, oracle_census])
+def test_single_node_census_of_any_degree(build):
+    (entry,) = build(1, 300).entries
+    assert (entry.aut_order, entry.cardinality) == (1, 1)
+
+
+def test_build_census_refuses_an_over_budget_size():
+    with pytest.raises(CountBudgetError):
+        build_census(5, 20)
 
 @pytest.mark.parametrize(
     "replaced, error",

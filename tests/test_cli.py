@@ -290,6 +290,19 @@ def test_count_budget_exits_3(capsys):
     assert "exceeds the exact-count budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census", "-p", "5", "-d", "20"],
+        ["lookup", "--monomial", "x11", "-p", "5", "-d", "20"],
+        ["render", "--class", "5,1", "-d", "20"],
+    ],
+)
+def test_analytic_census_over_budget_exits_3(argv, capsys):
+    assert run_cli(argv) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_render_class(capsys):
     assert run_cli(["render", "--class", "1,1", "--format", "dot"]) == 0
     assert capsys.readouterr().out == emit_dot(ArcMatrix(((2,),)))
