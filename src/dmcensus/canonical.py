@@ -2,10 +2,11 @@
 
 The canonical form of an arc matrix A is the lexicographically smallest matrix
 (row-major flattening, compared as an integer sequence) among all relabelings
-of A.  The search walks orderings of the original nodes depth-first: placing
-node v at target position k fixes the top-left (k+1) x (k+1) block, and a
-branch is abandoned as soon as an optimistic completion of its first k rows
-already compares greater than the best matrix found so far.  The optimistic
+of A.  The search walks orderings of the original nodes depth-first, trying
+the unused nodes at each level in index order: placing node v at target
+position k fixes the top-left (k+1) x (k+1) block, and a branch is abandoned
+as soon as an optimistic completion of its first k rows already compares
+greater than the best matrix found so far.  The optimistic
 completion fills each undetermined row tail with that row's remaining entries
 in ascending order, which lower-bounds every true completion, so this bound
 pruning never removes a branch that holds a minimal leaf.
@@ -22,6 +23,10 @@ already tried sibling under the generators that fix P pointwise is skipped:
 its subtree is the image of that sibling's.  Neither cut removes the first
 minimal leaf in DFS order, since every minimal leaf it removes is the image
 of an earlier one, so the result and its witness do not depend on pruning.
+The witness is therefore the node-index-least ordering (as a sequence of
+nodes) whose relabeling is the canonical matrix.  The order in which
+children are tried cannot change the canonical matrix or |Aut|, only which
+minimal leaf comes first.
 
 |Aut(A)| is the orbit-stabilizer product, over the levels L of the final
 `first` (the first minimal leaf), of the size of the orbit of first[L] under
@@ -105,12 +110,6 @@ def _search(rows: tuple[tuple[int, ...], ...]):
             base += p
         return False
 
-    def candidate_key(v: int, k: int):
-        row = rows[v]
-        known = tuple(row[order[j]] for j in range(k))
-        tail = tuple(sorted(row[u] for u in unused if u != v))
-        return known + (row[v],) + tail
-
     def dfs() -> int:
         # Returns the level to resume at: p when done normally, and L < p
         # after an automorphism is found whose leaf first leaves `first` at
@@ -134,7 +133,7 @@ def _search(rows: tuple[tuple[int, ...], ...]):
             return p
         tried: list[int] = []
         known_gens, cells = 0, None
-        for v in sorted(unused, key=lambda v: (candidate_key(v, k), v)):
+        for v in sorted(unused):
             if gens:
                 if known_gens != len(gens):
                     known_gens, cells = len(gens), _orbit_cells(gens, order, p)

@@ -296,6 +296,9 @@ class Catalog:
             except ValueError:
                 raise ValueError(f"catalog CSV line {lineno}: non-integer designation") from None
             records.append(CatalogRecord(p, rank, cardinality, row[3], row[4]))
+        if not records:
+            # verify would otherwise check no size and still pass.
+            raise ValueError("catalog CSV has no records")
         return cls(tuple(records))
 
     def for_p(self, p: int) -> tuple[CatalogRecord, ...]:

@@ -113,7 +113,11 @@ def _report_from_records(records: list[dict], source: str) -> CensusReport:
             if record["rank"] != rank:
                 raise ValueError(f"rank {record['rank']} where {rank} is due")
             canonical = monomial_to_matrix(parse_monomial(record["monomial"]), p, d)
-            if "matrix" in record and record["matrix"] != [list(r) for r in canonical.entries]:
+            # Equal as JSON text too, since true and 0.0 compare equal to 1 and 0;
+            # the value check first keeps json.dumps off deeply nested input.
+            matrix = [list(r) for r in canonical.entries]
+            if "matrix" in record and (record["matrix"] != matrix
+                                       or json.dumps(record["matrix"]) != json.dumps(matrix)):
                 raise ValueError("matrix does not match the monomial")
             if entries and canonical.entries <= entries[-1].canonical.entries:
                 raise ValueError("classes do not ascend by canonical matrix")
@@ -156,7 +160,10 @@ def parse_census_csv(text: str) -> CensusReport:
     for row in rows[1:]:
         if len(row) != len(CSV_COLUMNS):
             raise ValueError(f"census CSV row {row!r} does not have {len(CSV_COLUMNS)} fields")
-        records.append(dict(zip(CSV_COLUMNS, [*map(int, row[:-1]), row[-1]])))
+        counts = [int(field) for field in row[:-1]]
+        if list(map(str, counts)) != row[:-1]:
+            raise ValueError(f"census CSV row {row!r} has a count not written as a plain integer")
+        records.append(dict(zip(CSV_COLUMNS, [*counts, row[-1]])))
     return _report_from_records(records, "census CSV")
 
 

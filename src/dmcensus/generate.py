@@ -13,6 +13,8 @@ checks regularity once per class instead of once per word.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import product
+from operator import le
 
 from .core import ArcMatrix, check_node_cap, total_configurations
 
@@ -22,38 +24,32 @@ from .core import ArcMatrix, check_node_cap, total_configurations
 Word = tuple[int, ...]
 
 
-def _capped_compositions(total: int, caps: list[int]) -> Iterator[tuple[int, ...]]:
-    """Weak compositions of `total` with per-position caps, ascending lexicographic."""
-    if not caps:
-        if total == 0:
-            yield ()
-        return
-    for first in range(min(total, caps[0]) + 1):
-        for rest in _capped_compositions(total - first, caps[1:]):
-            yield (first, *rest)
-
-
 def enumerate_regular_matrices(p: int, d: int) -> Iterator[ArcMatrix]:
     """Yield every p x p matrix with all row and column sums d, exactly once.
 
-    Rows are filled top-down with weak compositions of d, pruning any partial
-    assignment whose running column sum exceeds d; the last row is forced by
-    the remaining column deficits.  Output is ascending in row-major order.
-    As in enumerate_words, a (p, d) whose configuration count exceeds the
-    count budget fails before any enumeration.
+    Rows are filled top-down from one ascending table of the rows that sum to
+    d, keeping a row only where it fits under the remaining column deficits;
+    the last row is forced by those deficits.  Output is ascending in
+    row-major order.  As in enumerate_words, a (p, d) whose configuration
+    count exceeds the count budget fails before any enumeration; for p >= 2
+    that budget keeps the table small (65,536 candidate rows at most, at
+    p=8, d=3).  At p <= 1 the one matrix is yielded without a table, so any
+    d is instant there.
     """
     check_node_cap(p)
     total_configurations(p, d)
-    if p == 0:
-        yield ArcMatrix(())
+    if p <= 1:
+        yield ArcMatrix(((d,),) * p)
         return
+    table = [row for row in product(range(d + 1), repeat=p) if sum(row) == d]
 
     def fill(rows, remaining):
         if len(rows) == p - 1:
             yield ArcMatrix((*rows, tuple(remaining)))
             return
-        for row in _capped_compositions(d, remaining):
-            yield from fill((*rows, row), [r - e for r, e in zip(remaining, row)])
+        for row in table:
+            if all(map(le, row, remaining)):
+                yield from fill((*rows, row), [r - e for r, e in zip(remaining, row)])
 
     yield from fill((), [d] * p)
 

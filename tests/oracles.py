@@ -20,6 +20,16 @@ def brute_canonical(rows):
     return min(relabel(rows, order) for order in itertools.permutations(range(len(rows))))
 
 
+def brute_witness(rows):
+    """Lexicographically least node ordering whose relabeling is brute_canonical(rows)."""
+    canon = brute_canonical(rows)
+    return next(
+        order
+        for order in itertools.permutations(range(len(rows)))
+        if relabel(rows, order) == canon
+    )
+
+
 def brute_aut_order(rows):
     """Number of orderings that leave the matrix unchanged."""
     return sum(

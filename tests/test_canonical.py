@@ -19,7 +19,7 @@ from dmcensus import (
 )
 from dmcensus.canonical import _MEMO_SIZE, _canonical_cached, clear_cache
 
-from oracles import brute_aut_order, brute_canonical, brute_orbit_size
+from oracles import brute_aut_order, brute_canonical, brute_orbit_size, brute_witness
 
 
 def random_permutation(rng, p):
@@ -64,6 +64,16 @@ def test_exhaustive_agreement_with_brute_force(p, d):
         result = canonical_form(m)
         assert result.canonical.entries == brute_canonical(m.entries)
         assert result.aut_order == brute_aut_order(m.entries)
+
+
+@pytest.mark.parametrize("p,d", [(0, 2), (1, 2), (2, 2), (3, 2), (4, 2), (3, 1), (4, 1), (5, 1),
+                                 (2, 3), (3, 3)])
+def test_witness_is_the_least_minimal_ordering(p, d):
+    for m in enumerate_regular_matrices(p, d):
+        images = [0] * p
+        for position, v in enumerate(brute_witness(m.entries)):
+            images[v] = position
+        assert canonical_form(m).witness.images == tuple(images)
 
 
 def test_sampled_agreement_with_brute_force_p5():

@@ -105,9 +105,10 @@ def test_one_canonical_search_per_class(monkeypatch, build, p, d, classes):
         assert searched == [entry.canonical for entry in report.entries]
 
 
+@pytest.mark.parametrize("d", [300, 10**6])
 @pytest.mark.parametrize("build", [build_census, oracle_census])
-def test_single_node_census_of_any_degree(build):
-    (entry,) = build(1, 300).entries
+def test_single_node_census_of_any_degree(build, d):
+    (entry,) = build(1, d).entries
     assert (entry.aut_order, entry.cardinality) == (1, 1)
 
 
@@ -358,6 +359,11 @@ def test_catalog_keeps_line_breaks_in_quoted_notes(note, terminator):
     catalog = Catalog.from_csv_text(out.getvalue())
     assert [r.note for r in catalog.records] == [note, ""]
     assert [r.rank for r in catalog.records] == [1, 2]
+
+
+def test_catalog_without_records_is_refused():
+    with pytest.raises(ValueError, match="no records"):
+        Catalog.from_csv_text(CATALOG_HEADER + "\n")
 
 
 def test_catalog_error_line_counts_quoted_line_breaks():

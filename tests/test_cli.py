@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -100,6 +101,8 @@ P3_CSV = render_census_csv(build_census(3, 2))
 P3_RELABELED = P3_CSV.replace("x13 x13 x22 x22 x31 x31", "x11 x11 x23 x23 x32 x32")
 P3_RELABELED_IN_ORDER = P3_CSV.replace("x11 x13 x21 x22 x32 x33", "x11 x12 x22 x23 x31 x33")
 P2_FIRST = "2,2,1,1,2,1,x12 x12 x21 x21\n"
+P2_CSV = render_census_csv(build_census(2, 2))
+P2_JSONL = render_census_jsonl(build_census(2, 2), {})
 # the p=2 census with its first two classes swapped and reranked
 P2_UNSORTED = (
     "2,2,1,4,2,4,x11 x12 x21 x22\n2,2,2,1,2,1,x12 x12 x21 x21\n2,2,3,1,2,1,x11 x11 x22 x22\n"
@@ -135,6 +138,14 @@ P2_UNSORTED = (
             CSV_HEADER + "2,34,1,1,2,1," + "x11 " * 34 + "x22 " * 33 + "x22\n",
             id="total-over-count-budget",
         ),
+        # number spellings the renderer never writes
+        pytest.param(parse_census_csv, P2_CSV.replace("2,2,1,1,", "2,2,+1,1,", 1), id="csv-plus"),
+        pytest.param(parse_census_csv, P2_CSV.replace("\n2,2,1,", "\n 2,2,01,", 1), id="csv-pad"),
+        pytest.param(parse_census_csv, P3_CSV.replace("3,2,2,24,", "3,2,2,2_4,"), id="csv-underscore"),
+        pytest.param(parse_census_jsonl, jsonl_p1(d=1, monomial="x11", matrix=[[True]]),
+                     id="jsonl-bool"),
+        pytest.param(parse_census_jsonl, P2_JSONL.replace("[[0,2],[2,0]]", "[[0.0,2],[2,0e0]]"),
+                     id="jsonl-float"),
     ],
 )
 def test_census_parsers_raise_value_error(parse, text):
@@ -202,6 +213,37 @@ def test_census_parsers_on_mutated_renders(census_d2, fmt, p, index, column, val
     assert_round_trip_or_value_error(fmt, mutate(render(census_d2(p)), index, column, value))
 
 
+# sha256 of stdout at every desk-scale size and format: the ranks, counts and
+# canonical monomials are the published census and must stay byte-identical.
+STDOUT_SHA256 = [
+    ("census -p 0 --format text", "baf2a700b5afb472ad544855e775d1da0c03883b43b86fa92b7964b8b4a919f8"),
+    ("census -p 0 --format csv", "bd37d831dbf2f0cc4dc3d88325dd5c4b6dcd6ea298a5acaaca7bedecf3610bd9"),
+    ("census -p 0 --format jsonl", "9398cf782005aa0c0ef548a9d7d48e42a05d3529ed368dc138ed504b79df8dd1"),
+    ("census -p 1 --format text", "bf637bdbfa07c8c1fcc76c6ee6afb13084a11a49474d6829e2d192ccc1f1ce15"),
+    ("census -p 1 --format csv", "efa6a9faec4e5cf7216891c2ed0de62424e8280e7912dbe2ba714ace1d8f2f8c"),
+    ("census -p 1 --format jsonl", "5bcacb6ba5bad4d97d7fbbe8311f5563b0698d14b2dbf19a3a8fd2f292904298"),
+    ("census -p 2 --format text", "683c426fa76a7398c709323268ae621ef3412ece1b416f087479ca8cbcdb80ec"),
+    ("census -p 2 --format csv", "05e054ece7cb7959e719281bb75dadd97306d04a29919269ccc6504b635446cc"),
+    ("census -p 2 --format jsonl", "849f8a514017db73e2d5dd03420f8fe49784c4325a10e214d2a9837a3c8a7407"),
+    ("census -p 3 --format text", "024df31b4ecb5a122c5b8e3aa13c24c8bea5c13f7e6980e3a27300ef72383666"),
+    ("census -p 3 --format csv", "9af51c5ede87f55cc09586be4ac4c3b6524fcf76cd5e811c7ce6985a24891fa2"),
+    ("census -p 3 --format jsonl", "c0078808ebec15c20b85812b2601fe2ccb879ada0c5f9c1c2ad534ff16f2a71e"),
+    ("census -p 4 --format text", "7ede110f71711c7636477a0e70e42caf7907d1024352e1269510c15fb9e33a34"),
+    ("census -p 4 --format csv", "5acdce5728b0521f6cdc3f391add2a764bcdd945167a9849231af2278558edc5"),
+    ("census -p 4 --format jsonl", "66af0b9ffeb48c0dc68c82daac34a66b177d587adb2dedac598d9057fecf3762"),
+    ("census -p 5 --format text", "f7e27542bf960859912967e96c645a25c3522130e174e13135d527bcbe91718f"),
+    ("census -p 5 --format csv", "cac007bf35998e3dc18d09f3bf0cd4f6989f495f42c006d8fcf2f67d363ab6a8"),
+    ("census -p 5 --format jsonl", "b0f876e5f6b81af16516288000483b8f82c3366e30a98b8544a55bb4bf4e56b5"),
+    ("oracle -p 4 -d 3 --format csv", "d83db8b9446189cfa19c82411b2c7a5d029a99686034fd88d618c924a82f6f52"),
+]
+
+
+@pytest.mark.parametrize("command, digest", STDOUT_SHA256)
+def test_stdout_is_byte_identical_to_the_recorded_digest(command, digest, capsys):
+    assert run_cli(command.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_census_runs_are_byte_identical(capsys):
     run_cli(["census", "-p", "4", "--format", "jsonl"])
     first = capsys.readouterr().out
@@ -257,6 +299,15 @@ def test_verify_oversized_catalog_field_exits_2(tmp_path, capsys):
     big.write_text("p,rank,cardinality,monomial,note\n2,1,1," + "x" * 200_000 + ",\n")
     assert run_cli(["verify", "--paper-data", str(big)]) == 2
     assert capsys.readouterr().err.startswith("error: catalog CSV: ")
+
+
+def test_verify_header_only_catalog_exits_2(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("p,rank,cardinality,monomial,note\n")
+    assert run_cli(["verify", "--paper-data", str(empty)]) == 2
+    captured = capsys.readouterr()
+    assert "verification: PASS" not in captured.out
+    assert captured.err.startswith("error: catalog CSV has no records")
 
 
 def test_lookup_null_graph(capsys):

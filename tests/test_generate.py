@@ -32,7 +32,8 @@ def test_two_node_matrices():
     ]
 
 
-@pytest.mark.parametrize("p,d", [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize("p,d", [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (3, 3),
+                                 (4, 1), (1, 5)])
 def test_matrices_match_grid_scan(p, d):
     got = [m.entries for m in enumerate_regular_matrices(p, d)]
     assert got == sorted(brute_regular_matrices(p, d))
