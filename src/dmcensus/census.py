@@ -15,11 +15,12 @@ matrices, each arriving once.
   cardinality as its raw word count, with no counting formula.
 
 Matrices arrive validated (see generate) and are never rebuilt here.  The
-oracle tallies unchecked word projections as plain row tuples and builds one
-ArcMatrix per distinct matrix.  In place of a per-word check, _finish_report
-requires each class's canonical matrix to be d-regular: a word with a wrong
-multiset projects to a non-regular matrix, so its class fails this check (or
-the orbit-stabilizer one).
+oracle counts every word under an integer key of its matrix, unchecked (see
+generate._word_tally), and builds one ArcMatrix per distinct matrix.  In
+place of a per-word check, _finish_report requires each class's canonical
+matrix to be d-regular: a word with a wrong multiset projects to a
+non-regular matrix, so its class fails this check (or the orbit-stabilizer
+one).
 
 A CensusEntry stores its ClassId, canonical matrix and |Aut|; every other
 count is derived.  compare_census cross-checks the two routes: as both pass
@@ -33,7 +34,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from itertools import chain, permutations
@@ -41,7 +41,7 @@ from pathlib import Path
 
 from .canonical import canonical_form
 from .core import ArcMatrix, ClassId, is_regular, total_configurations, weight
-from .generate import _word_rows, enumerate_regular_matrices, enumerate_words
+from .generate import _word_tally, enumerate_regular_matrices, enumerate_words
 from .monomial import (
     DegreeError,
     Monomial,
@@ -202,7 +202,7 @@ def oracle_census(p: int, d: int) -> CensusReport:
     The grouping checks the labeled count of every class, and each class's
     words must split evenly over its labeled matrices.
     """
-    tally = Counter(_word_rows(word, p, d) for word in enumerate_words(p, d))
+    tally = _word_tally(enumerate_words(p, d), p, d)
     pairs = ((ArcMatrix(rows), words) for rows, words in tally.items())
     classes = {}
     for canon, (aut_order, labeled, words) in _group_by_canonical(pairs).items():

@@ -5,16 +5,19 @@ lexicographic order so that downstream output is byte-stable across runs.
 
 This is where generated matrices enter the package and are validated: the
 matrix stream yields ArcMatrix objects, and word_to_matrix checks that its
-word is an arrangement of 1^d ... p^d.  _word_rows is the same projection to
-plain row tuples without that check; the word oracle in census uses it and
-checks regularity once per class instead of once per word.
+word is an arrangement of 1^d ... p^d.  The word oracle in census does not
+project word by word: _word_tally sums each word to an integer key, counts
+the keys and decodes each distinct one once, to plain row tuples without
+that check; the oracle checks regularity once per class instead.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections import Counter
+from collections.abc import Iterable, Iterator
+from functools import cache
 from itertools import product
-from operator import le
+from operator import getitem, le
 
 from .core import ArcMatrix, check_node_cap, total_configurations
 
@@ -86,16 +89,45 @@ def enumerate_words(p: int, d: int) -> Iterator[Word]:
         word[k + 1 :] = reversed(word[k + 1 :])
 
 
-def _word_rows(word: Word, p: int, d: int) -> tuple[tuple[int, ...], ...]:
-    """word_to_matrix rows, unchecked: a symbol outside 1..p raises KeyError."""
-    grid = {s: [0] * p for s in range(1, p + 1)}
-    for pos, symbol in enumerate(word):
-        grid[symbol][pos // d] += 1
-    return tuple(map(tuple, grid.values()))
+def _word_tally(words: Iterable[Word], p: int, d: int) -> dict[tuple[tuple[int, ...], ...], int]:
+    """Count the words projecting to each arc matrix, as word_to_matrix rows.
+
+    Keys are plain row tuples, unchecked, in order of first appearance.  Each
+    word is first summed to an integer key in base d + 1: a symbol s in
+    block j adds 1 to digit (s - 1) * p + j, the row-major position of entry
+    (s, j).  A block has d positions, so no entry exceeds d, even for a word
+    off the multiset, and every key decodes exactly, once per matrix, by
+    divmod into rows of p digits.  A symbol outside 1..p raises KeyError.
+    Like enumerate_words, a (p, d) past the node cap or the count budget
+    fails before any table is built.
+    """
+    check_node_cap(p)
+    total_configurations(p, d)
+    base = d + 1
+    tables = [{s: base ** ((s - 1) * p + j) for s in range(1, p + 1)} for j in range(p)]
+    digits = [tables[pos // d] for pos in range(d * p)]
+    row_size = base**p
+
+    @cache
+    def row(value):  # rows recur across matrices; decode each value once
+        return tuple(value // base**j % base for j in range(p))
+
+    def rows(key):
+        out = []
+        for _ in range(p):
+            key, value = divmod(key, row_size)
+            out.append(row(value))
+        return tuple(out)
+
+    keys = Counter(sum(map(getitem, digits, word)) for word in words)
+    return {rows(key): count for key, count in keys.items()}
 
 
 def word_to_matrix(word: Word, p: int, d: int) -> ArcMatrix:
     """Project a word to its arc matrix: entry (i, j) counts symbol i in block j."""
     if sorted(word) != [s for s in range(1, p + 1) for _ in range(d)]:
         raise ValueError(f"word is not an arrangement of 1..{p}, each {d} times")
-    return ArcMatrix(_word_rows(word, p, d))
+    rows = [[0] * p for _ in range(p)]
+    for pos, symbol in enumerate(word):
+        rows[symbol - 1][pos // d] += 1
+    return ArcMatrix(rows)

@@ -59,11 +59,13 @@ class Monomial:
         object.__setattr__(self, "factors", factors)
 
     def max_node(self) -> int:
-        return max((max(i, j) for i, j in self.factors), default=0)
+        return max(map(max, self.factors), default=0)
 
     def __str__(self):
-        style = "compact" if self.max_node() <= 9 else "bracket"
-        return print_monomial(self, style)
+        try:  # print_monomial decides by the one max_node() call it makes
+            return print_monomial(self, "compact")
+        except StyleError:
+            return print_monomial(self, "bracket")
 
 
 def _scan_digits(text: str, pos: int) -> tuple[str, int]:

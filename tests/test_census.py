@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -18,6 +19,7 @@ from dmcensus import (
     ClassId,
     CountBudgetError,
     DegreeError,
+    NodeCapError,
     build_census,
     canonical_form,
     enumerate_regular_matrices,
@@ -115,6 +117,28 @@ def test_single_node_census_of_any_degree(build, d):
 def test_build_census_refuses_an_over_budget_size():
     with pytest.raises(CountBudgetError):
         build_census(5, 20)
+
+
+def test_oracle_census_refuses_an_impossible_size():
+    with pytest.raises(NodeCapError):
+        oracle_census(11, 2)
+    with pytest.raises(CountBudgetError):
+        oracle_census(5, 20)
+
+
+def test_one_node_oracle_memory_is_bounded():
+    # The word, its working list and the tally's d references to one shared
+    # block table take about 24 bytes a position (4.6 MiB traced at this d);
+    # a table per position would take 47 MiB.
+    d = 2 * 10**5
+    tracemalloc.start()
+    try:
+        oracle_census(1, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * d
+
 
 @pytest.mark.parametrize(
     "replaced, error",

@@ -1,7 +1,10 @@
+from collections import Counter
+
 import pytest
 
 from dmcensus import (
     ArcMatrix,
+    CountBudgetError,
     NodeCapError,
     count_regular_matrices,
     enumerate_regular_matrices,
@@ -12,6 +15,7 @@ from dmcensus import (
     word_to_matrix,
 )
 
+from dmcensus.generate import _word_tally
 from oracles import brute_regular_matrices, brute_word_matrix, brute_words
 
 
@@ -114,6 +118,27 @@ def test_word_to_matrix_rejects_malformed():
         word_to_matrix((1, 3, 1, 3), 2, 2)
     with pytest.raises(ValueError):
         word_to_matrix((1, 1, 1, 2), 2, 2)
+
+
+@pytest.mark.parametrize("p,d", [(0, 2), (1, 5), (2, 3), (3, 2), (3, 3), (6, 1), (4, 2)])
+def test_word_tally_matches_brute_force(p, d):
+    got = _word_tally(enumerate_words(p, d), p, d)
+    expected = Counter(brute_word_matrix(w, p, d) for w in brute_words(p, d))
+    assert got == expected
+    assert list(got) == list(expected)  # keys in order of first appearance
+
+
+@pytest.mark.parametrize("symbol", [0, 3, -1])
+def test_word_tally_rejects_a_symbol_outside_the_nodes(symbol):
+    with pytest.raises(KeyError):
+        _word_tally([(1, 2, 1, 2), (1, symbol, 2, 2)], 2, 2)
+
+
+def test_word_tally_refuses_before_reading_a_word():
+    with pytest.raises(NodeCapError):
+        _word_tally(iter(()), 11, 2)
+    with pytest.raises(CountBudgetError):
+        _word_tally(iter(()), 5, 20)
 
 
 @pytest.mark.parametrize("p", [0, 1, 2, 3, 4])

@@ -10,6 +10,7 @@ from dmcensus import (
     Monomial,
     MonomialParseError,
     StyleError,
+    build_census,
     enumerate_regular_matrices,
     matrix_to_monomial,
     monomial_to_matrix,
@@ -118,6 +119,17 @@ def test_print_braced_and_bracket():
     m = Monomial(((1, 2), (10, 3)))
     assert print_monomial(m, "braced") == "x_{12} x_{10,3}"
     assert print_monomial(m, "bracket") == "x[1,2] x[10,3]"
+
+
+def test_str_picks_compact_style_up_to_node_9():
+    assert str(Monomial(((2, 1), (9, 9)))) == "x21 x99"
+    assert str(Monomial(((1, 2), (10, 3)))) == "x[1,2] x[10,3]"
+    assert str(Monomial()) == "1"
+
+
+def test_str_of_a_huge_one_node_representative():
+    mono = build_census(1, 10**6).entries[0].representative
+    assert str(mono) == " ".join(["x11"] * 10**6)
 
 
 def test_print_compact_rejects_large_nodes():
