@@ -1,26 +1,28 @@
 """Class census construction, the brute-force oracle, and catalog verification.
 
-Two independent routes produce the census for (p, d).  Both hand
-(labeled matrix, count) pairs to _group_by_canonical, which runs one
-canonical search per class, on the first matrix of the class to arrive, and
-assigns the later ones by brute force: the searched matrix's p! relabelings
-are listed, and each later matrix must be one of them.  Each search is
-checked against that orbit (its canonical matrix is the least relabeling,
-and len(orbit) * |Aut| == p!), and every class must hold p!/|Aut| labeled
-matrices, each arriving once.
+Two independent routes produce the census for (p, d).  Both hand (rows,
+count) pairs, the plain row tuples of a labeled matrix and its count, to
+_group_by_canonical, which runs one canonical search per class, on the first
+matrix of the class to arrive, and assigns the later ones by brute force:
+the searched matrix's p! relabelings are listed, and each later matrix must
+be one of them.  Each search is checked against that orbit (its canonical
+matrix is the least relabeling, and len(orbit) * |Aut| == p!), and every
+class must hold p!/|Aut| labeled matrices, each arriving once.
 
 * build_census streams each labeled d-regular matrix once and computes each
-  class cardinality analytically as (p!/|Aut|) * weight(canonical).
+  class cardinality analytically as (p!/|Aut|) * weight(canonical).  The
+  sum of p!/|Aut| over its classes must equal count_regular_matrices, an
+  exact count made without the stream.
 * oracle_census counts configuration words per matrix and takes each class
   cardinality as its raw word count, with no counting formula.
 
-Matrices arrive validated (see generate) and are never rebuilt here.  The
-oracle counts every word under an integer key of its matrix, unchecked (see
-generate._word_tally), and builds one ArcMatrix per distinct matrix.  In
-place of a per-word check, _finish_report requires each class's canonical
-matrix to be d-regular: a word with a wrong multiset projects to a
-non-regular matrix, so its class fails this check (or the orbit-stabilizer
-one).
+Matrices arrive validated (see generate).  The grouping builds one
+ArcMatrix per class, from the rows of the matrix it searches.  The oracle
+counts every word under an integer key of its matrix, unchecked (see
+generate._word_tally).  In place of a per-word check, _finish_report
+requires each class's canonical matrix to be d-regular: a word with a wrong
+multiset projects to a non-regular matrix, so its class fails this check (or
+the orbit-stabilizer one).
 
 A CensusEntry stores its ClassId, canonical matrix and |Aut|; every other
 count is derived.  compare_census cross-checks the two routes: as both pass
@@ -41,7 +43,12 @@ from pathlib import Path
 
 from .canonical import canonical_form
 from .core import ArcMatrix, ClassId, is_regular, total_configurations, weight
-from .generate import _word_tally, enumerate_regular_matrices, enumerate_words
+from .generate import (
+    _word_tally,
+    count_regular_matrices,
+    enumerate_regular_matrices,
+    enumerate_words,
+)
 from .monomial import (
     DegreeError,
     Monomial,
@@ -113,11 +120,12 @@ class CensusReport:
 
 
 def _group_by_canonical(pairs) -> dict[ArcMatrix, tuple[int, int, int]]:
-    """Group (labeled matrix, count) pairs into canonical -> (aut_order, labeled, count).
+    """Group (rows, count) pairs into canonical -> (aut_order, labeled, count).
 
-    labeled is the number of pairs in the class and count the sum of their
-    counts.  The first matrix of each class gets the one canonical search for
-    that class, and its orbit, all p! relabelings by brute force, goes into
+    rows are a labeled matrix's plain row tuples, labeled is the number of
+    pairs in the class and count the sum of their counts.  The first matrix
+    of each class, alone made an ArcMatrix, gets the class's one canonical
+    search, and its orbit, all p! relabelings by brute force, goes into
     `pending`; a later matrix of the class is found there, not searched.  The
     search must agree with the orbit: its canonical matrix is the least
     relabeling, and len(orbit) * |Aut| == p!.  No labeled matrix may arrive
@@ -131,10 +139,10 @@ def _group_by_canonical(pairs) -> dict[ArcMatrix, tuple[int, int, int]]:
     """
     classes: dict[ArcMatrix, tuple[int, int, int]] = {}
     pending: dict[bytes, ArcMatrix] = {}  # relabeling not yet streamed -> canonical
-    for matrix, count in pairs:
-        rows = matrix.entries
+    for rows, count in pairs:
         canon = pending.pop(bytes(chain.from_iterable(rows)), None) if pending else None
         if canon is None:
+            matrix = ArcMatrix(rows)
             result = canonical_form(matrix)
             canon, p = result.canonical, matrix.p
             if canon in classes:
@@ -169,7 +177,7 @@ def _group_by_canonical(pairs) -> dict[ArcMatrix, tuple[int, int, int]]:
 def _finish_report(p: int, d: int, classes: dict[ArcMatrix, tuple[int, int]]) -> CensusReport:
     """Rank classes (canonical -> (aut_order, cardinality)); check regularity and total."""
     entries = []
-    for rank, canon in enumerate(sorted(classes, key=lambda m: m.entries), start=1):
+    for rank, canon in enumerate(sorted(classes), start=1):
         if not is_regular(canon, d):
             raise CensusInvariantError(f"class of {canon} is not {d}-regular")
         aut_order, cardinality = classes[canon]
@@ -187,8 +195,18 @@ def build_census(p: int, d: int) -> CensusReport:
     """Census via canonical grouping and the orbit-stabilizer cardinality.
 
     Each class has p!/|Aut| labeled matrices and cardinality (p!/|Aut|) * weight.
+    The labeled matrices over all classes must number count_regular_matrices,
+    an exact count made without the stream, so a class the stream misses
+    entirely is caught.
     """
-    classes = _group_by_canonical((m, 1) for m in enumerate_regular_matrices(p, d))
+    classes = _group_by_canonical((m.entries, 1) for m in enumerate_regular_matrices(p, d))
+    labeled_total = sum(math.factorial(p) // aut for aut, _, _ in classes.values())
+    expected = count_regular_matrices(p, d)
+    if labeled_total != expected:
+        raise CensusInvariantError(
+            f"census for p={p}, d={d} holds {labeled_total} labeled matrices, "
+            f"expected {expected}"
+        )
     cardinalities = {
         canon: (aut_order, labeled * weight(canon, d))
         for canon, (aut_order, labeled, _) in classes.items()
@@ -203,9 +221,8 @@ def oracle_census(p: int, d: int) -> CensusReport:
     words must split evenly over its labeled matrices.
     """
     tally = _word_tally(enumerate_words(p, d), p, d)
-    pairs = ((ArcMatrix(rows), words) for rows, words in tally.items())
     classes = {}
-    for canon, (aut_order, labeled, words) in _group_by_canonical(pairs).items():
+    for canon, (aut_order, labeled, words) in _group_by_canonical(tally.items()).items():
         if words % labeled:
             raise CensusInvariantError(
                 f"class of {canon}: {words} words over {labeled} matrices "
@@ -240,12 +257,11 @@ def compare_census(a: CensusReport, b: CensusReport) -> CensusDiff:
         )
     a_cards = {entry.canonical: entry.cardinality for entry in a.entries}
     b_cards = {entry.canonical: entry.cardinality for entry in b.entries}
-    order = lambda m: m.entries
-    only_a = tuple(sorted(a_cards.keys() - b_cards.keys(), key=order))
-    only_b = tuple(sorted(b_cards.keys() - a_cards.keys(), key=order))
+    only_a = tuple(sorted(a_cards.keys() - b_cards.keys()))
+    only_b = tuple(sorted(b_cards.keys() - a_cards.keys()))
     mismatches = tuple(
         (canon, a_cards[canon], b_cards[canon])
-        for canon in sorted(a_cards.keys() & b_cards.keys(), key=order)
+        for canon in sorted(a_cards.keys() & b_cards.keys())
         if a_cards[canon] != b_cards[canon]
     )
     return CensusDiff(a.p, a.d, only_a, only_b, mismatches)

@@ -119,7 +119,7 @@ def _report_from_records(records: list[dict], source: str) -> CensusReport:
             if "matrix" in record and (record["matrix"] != matrix
                                        or json.dumps(record["matrix"]) != json.dumps(matrix)):
                 raise ValueError("matrix does not match the monomial")
-            if entries and canonical.entries <= entries[-1].canonical.entries:
+            if entries and canonical <= entries[-1].canonical:
                 raise ValueError("classes do not ascend by canonical matrix")
             result = canonical_form(canonical)
             if result.canonical != canonical:

@@ -50,12 +50,14 @@ def check_node_cap(p: int) -> None:
         raise NodeCapError(f"p={p} exceeds the supported maximum of {NODE_CAP} nodes")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class ArcMatrix:
     """Immutable p x p matrix of nonnegative arc multiplicities.
 
     p = 0 is legal and denotes the null multigraph (no nodes, no arcs).
-    Instances are hashable and safe to share between threads.
+    Instances are hashable and safe to share between threads.  They compare
+    by their entries in row-major lexicographic order, the order that ranks
+    census classes.
     """
 
     entries: tuple[tuple[int, ...], ...] = ()

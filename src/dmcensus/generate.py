@@ -2,6 +2,8 @@
 
 Both streams are demand-driven, duplicate-free, and emitted in ascending
 lexicographic order so that downstream output is byte-stable across runs.
+count_regular_matrices counts the matrix stream exactly without running it,
+from the same table of rows, so a census can check the stream against it.
 
 This is where generated matrices enter the package and are validated: the
 matrix stream yields ArcMatrix objects, and word_to_matrix checks that its
@@ -27,6 +29,11 @@ from .core import ArcMatrix, check_node_cap, total_configurations
 Word = tuple[int, ...]
 
 
+def _row_table(p: int, d: int) -> list[tuple[int, ...]]:
+    """The rows of length p that sum to d, ascending."""
+    return [row for row in product(range(d + 1), repeat=p) if sum(row) == d]
+
+
 def enumerate_regular_matrices(p: int, d: int) -> Iterator[ArcMatrix]:
     """Yield every p x p matrix with all row and column sums d, exactly once.
 
@@ -44,7 +51,7 @@ def enumerate_regular_matrices(p: int, d: int) -> Iterator[ArcMatrix]:
     if p <= 1:
         yield ArcMatrix(((d,),) * p)
         return
-    table = [row for row in product(range(d + 1), repeat=p) if sum(row) == d]
+    table = _row_table(p, d)
 
     def fill(rows, remaining):
         if len(rows) == p - 1:
@@ -58,8 +65,30 @@ def enumerate_regular_matrices(p: int, d: int) -> Iterator[ArcMatrix]:
 
 
 def count_regular_matrices(p: int, d: int) -> int:
-    """Length of enumerate_regular_matrices(p, d) without materializing it."""
-    return sum(1 for _ in enumerate_regular_matrices(p, d))
+    """Length of enumerate_regular_matrices(p, d), counted without enumeration.
+
+    Rows are placed top-down from the stream's table, as the stream places
+    them, but the count of completions depends only on the number of rows
+    left and the multiset of column deficits, so it is memoized on the rows
+    left and the sorted deficits.  The stream's refusals apply.
+    """
+    check_node_cap(p)
+    total_configurations(p, d)
+    if p <= 1:
+        return 1
+    table = _row_table(p, d)
+
+    @cache
+    def completions(left, deficits):
+        if left == 1:  # the deficits sum to d and form the forced last row
+            return 1
+        return sum(
+            completions(left - 1, tuple(sorted(r - e for r, e in zip(deficits, row))))
+            for row in table
+            if all(map(le, row, deficits))
+        )
+
+    return completions(p, (d,) * p)
 
 
 def enumerate_words(p: int, d: int) -> Iterator[Word]:

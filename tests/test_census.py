@@ -50,13 +50,13 @@ def test_census_null_graph(census_d2):
 
 
 def test_grouping_rejects_a_class_short_of_a_labeled_matrix():
-    tally = Counter(enumerate_regular_matrices(3, 2))
+    tally = Counter(m.entries for m in enumerate_regular_matrices(3, 2))
     classes = _group_by_canonical(tally.items())
     assert len(classes) == 8
     # a double loop beside a complete 2-node digraph: |Aut| = 2, 3 labelings
     missing = ArcMatrix(((2, 0, 0), (0, 1, 1), (0, 1, 1)))
     assert classes[canonical_form(missing).canonical][:2] == (2, 3)
-    del tally[missing]
+    del tally[missing.entries]
     with pytest.raises(CensusInvariantError, match="orbit-stabilizer"):
         _group_by_canonical(tally.items())
 
@@ -67,7 +67,7 @@ def test_grouping_rejects_a_repeated_labeled_matrix(p):
     stream = list(enumerate_regular_matrices(p, 2))
     stream.append(stream[-1])
     with pytest.raises(CensusInvariantError, match="arrived twice"):
-        _group_by_canonical((m, 1) for m in stream)
+        _group_by_canonical((m.entries, 1) for m in stream)
 
 
 @pytest.mark.parametrize(
@@ -112,6 +112,16 @@ def test_one_canonical_search_per_class(monkeypatch, build, p, d, classes):
 def test_single_node_census_of_any_degree(build, d):
     (entry,) = build(1, d).entries
     assert (entry.aut_order, entry.cardinality) == (1, 1)
+
+
+def test_build_census_checks_the_exact_labeled_count(monkeypatch):
+    # 2*I_3 is a class of one labeled matrix; without it every other check
+    # that runs before the total still holds
+    doubled = ArcMatrix(((2, 0, 0), (0, 2, 0), (0, 0, 2)))
+    stream = [m for m in enumerate_regular_matrices(3, 2) if m != doubled]
+    monkeypatch.setattr(dmcensus.census, "enumerate_regular_matrices", lambda p, d: iter(stream))
+    with pytest.raises(CensusInvariantError, match="holds 20 labeled matrices, expected 21"):
+        build_census(3, 2)
 
 
 def test_build_census_refuses_an_over_budget_size():

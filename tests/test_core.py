@@ -38,6 +38,15 @@ def test_arc_matrix_accepts_lists_and_hashes():
     assert hash(a) == hash(b)
 
 
+def test_arc_matrices_order_row_major():
+    low, high = ArcMatrix(((1, 2), (3, 4))), ArcMatrix(((1, 2), (3, 5)))
+    pool = [m for p in range(4) for m in enumerate_regular_matrices(p, 2)] + [high, low]
+    random.Random(7).shuffle(pool)
+    assert sorted(pool) == sorted(pool, key=lambda m: m.entries)
+    assert low < high and not high < low
+    assert low <= high and not high <= low
+
+
 def test_permutation_validation():
     Permutation((1, 0, 2))
     with pytest.raises(ValueError):

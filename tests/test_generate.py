@@ -1,6 +1,9 @@
+import math
 from collections import Counter
 
 import pytest
+
+import dmcensus.generate
 
 from dmcensus import (
     ArcMatrix,
@@ -45,6 +48,33 @@ def test_matrices_match_grid_scan(p, d):
 
 def test_three_node_count():
     assert count_regular_matrices(3, 2) == 21
+
+
+@pytest.mark.parametrize(
+    "p,d", [(0, 2), (1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (3, 3), (4, 3), (5, 1), (6, 1)]
+)
+def test_count_equals_enumeration(p, d):
+    assert count_regular_matrices(p, d) == sum(1 for _ in enumerate_regular_matrices(p, d))
+
+
+def test_degree_one_counts_are_factorials():
+    # d = 1 matrices are permutation matrices
+    assert [count_regular_matrices(p, 1) for p in range(11)] == [
+        math.factorial(p) for p in range(11)
+    ]
+
+
+def test_six_node_count():
+    assert count_regular_matrices(6, 2) == 202_410
+
+
+def test_count_refusals(monkeypatch):
+    with pytest.raises(NodeCapError):
+        count_regular_matrices(11, 2)
+    with pytest.raises(CountBudgetError):
+        count_regular_matrices(5, 20)
+    monkeypatch.setattr(dmcensus.generate, "_row_table", None)  # no table at p <= 1
+    assert count_regular_matrices(0, 10**6) == count_regular_matrices(1, 10**6) == 1
 
 
 def test_four_node_matrices_match_word_projections():
