@@ -2,21 +2,24 @@
 
 Two independent routes produce the census for (p, d).  Both hand (rows,
 count) pairs, the plain row tuples of a labeled matrix and its count, to
-_group_by_canonical, which runs one canonical search per class, on the first
-matrix of the class to arrive, and assigns the later ones by brute force:
-the searched matrix's p! relabelings are listed, and each later matrix must
-be one of them.  Each search is checked against that orbit (its canonical
-matrix is the least relabeling, and len(orbit) * |Aut| == p!), and every
-class must hold p!/|Aut| labeled matrices, each arriving once.
+_group_by_canonical and read back canonical -> (|Aut|, summed count).  The
+grouping runs one canonical search per class, on the first matrix of the
+class to arrive, and assigns the later ones by brute force: the searched
+matrix's p! relabelings are listed, and each later matrix must be one of
+them.  Each search is checked against that orbit (its canonical matrix is
+the least relabeling, and len(orbit) * |Aut| == p!), no labeled matrix may
+arrive twice, and every listed relabeling must arrive, so each class holds
+p!/|Aut| labeled matrices (orbit-stabilizer); callers derive that count.
 
-* build_census streams each labeled d-regular matrix once and computes each
-  class cardinality analytically as (p!/|Aut|) * weight(canonical).  The
-  sum of p!/|Aut| over its classes must equal count_regular_matrices, an
-  exact count made without the stream.
+* build_census streams each labeled d-regular matrix once, as plain rows
+  from generate._regular_rows, and computes each class cardinality
+  analytically as (p!/|Aut|) * weight(canonical).  The sum of p!/|Aut| over
+  its classes must equal count_regular_matrices, and the number of classes
+  class_count, two exact counts made without the stream.
 * oracle_census counts configuration words per matrix and takes each class
   cardinality as its raw word count, with no counting formula.
 
-Matrices arrive validated (see generate).  The grouping builds one
+Neither route validates a labeled matrix.  The grouping builds one
 ArcMatrix per class, from the rows of the matrix it searches.  The oracle
 counts every word under an integer key of its matrix, unchecked (see
 generate._word_tally).  In place of a per-word check, _finish_report
@@ -26,8 +29,8 @@ the orbit-stabilizer one).
 
 A CensusEntry stores its ClassId, canonical matrix and |Aut|; every other
 count is derived.  compare_census cross-checks the two routes: as both pass
-the p!/|Aut| check, equal cardinalities pin each class's word count to
-(p!/|Aut|) * weight.  verify_against_catalog checks a census against the
+the orbit-stabilizer check, equal cardinalities pin each class's word count
+to (p!/|Aut|) * weight.  verify_against_catalog checks a census against the
 bundled reference catalog.
 """
 
@@ -44,9 +47,10 @@ from pathlib import Path
 from .canonical import canonical_form
 from .core import ArcMatrix, ClassId, is_regular, total_configurations, weight
 from .generate import (
+    _regular_rows,
     _word_tally,
+    class_count,
     count_regular_matrices,
-    enumerate_regular_matrices,
     enumerate_words,
 )
 from .monomial import (
@@ -119,25 +123,24 @@ class CensusReport:
         return None
 
 
-def _group_by_canonical(pairs) -> dict[ArcMatrix, tuple[int, int, int]]:
-    """Group (rows, count) pairs into canonical -> (aut_order, labeled, count).
+def _group_by_canonical(pairs) -> dict[ArcMatrix, tuple[int, int]]:
+    """Group (rows, count) pairs into canonical -> (aut_order, count).
 
-    rows are a labeled matrix's plain row tuples, labeled is the number of
-    pairs in the class and count the sum of their counts.  The first matrix
-    of each class, alone made an ArcMatrix, gets the class's one canonical
-    search, and its orbit, all p! relabelings by brute force, goes into
-    `pending`; a later matrix of the class is found there, not searched.  The
-    search must agree with the orbit: its canonical matrix is the least
-    relabeling, and len(orbit) * |Aut| == p!.  No labeled matrix may arrive
-    twice, and by orbit-stabilizer labeled * |Aut| == p!; with the orbit
-    check this means every relabeling arrived, so `pending` ends empty
-    without a check of its own.
+    rows are a labeled matrix's plain row tuples, and count sums over the
+    pairs of the class.  The first matrix of each class, alone made an
+    ArcMatrix, gets the class's one canonical search, and its orbit, all p!
+    relabelings by brute force, goes into `pending`; a later matrix of the
+    class is found there, not searched.  The search must agree with the
+    orbit: its canonical matrix is the least relabeling, and len(orbit) *
+    |Aut| == p!.  No labeled matrix may arrive twice, and `pending` must end
+    empty: then every class got all its p!/|Aut| labeled matrices
+    (orbit-stabilizer), which callers derive instead of counting.
 
     `pending` keys are the bytes of the row-major entries, so entries must be
     below 256: for p >= 2 the count budget caps d at 33, and at p <= 1
     `pending` stays empty and no key is built.
     """
-    classes: dict[ArcMatrix, tuple[int, int, int]] = {}
+    classes: dict[ArcMatrix, tuple[int, int]] = {}
     pending: dict[bytes, ArcMatrix] = {}  # relabeling not yet streamed -> canonical
     for rows, count in pairs:
         canon = pending.pop(bytes(chain.from_iterable(rows)), None) if pending else None
@@ -162,15 +165,15 @@ def _group_by_canonical(pairs) -> dict[ArcMatrix, tuple[int, int, int]]:
                 )
             orbit.remove(tuple(chain.from_iterable(rows)))
             pending.update(dict.fromkeys(map(bytes, orbit), canon))
-            classes[canon] = (result.aut_order, 0, 0)
-        aut_order, labeled, total = classes[canon]
-        classes[canon] = (aut_order, labeled + 1, total + count)
-    for canon, (aut_order, labeled, _) in classes.items():
-        if labeled * aut_order != math.factorial(canon.p):
-            raise CensusInvariantError(
-                f"class of {canon} has {labeled} labeled matrices and |Aut| = "
-                f"{aut_order}; orbit-stabilizer demands a product of {canon.p}!"
-            )
+            classes[canon] = (result.aut_order, 0)
+        aut_order, total = classes[canon]
+        classes[canon] = (aut_order, total + count)
+    if pending:
+        canon = next(iter(pending.values()))
+        raise CensusInvariantError(
+            f"class of {canon} lacks a labeled matrix; orbit-stabilizer demands "
+            f"{math.factorial(canon.p) // classes[canon][0]} of them"
+        )
     return classes
 
 
@@ -196,20 +199,25 @@ def build_census(p: int, d: int) -> CensusReport:
 
     Each class has p!/|Aut| labeled matrices and cardinality (p!/|Aut|) * weight.
     The labeled matrices over all classes must number count_regular_matrices,
-    an exact count made without the stream, so a class the stream misses
-    entirely is caught.
+    and the classes class_count, two exact counts made without the stream, so
+    a class the stream misses entirely is caught.
     """
-    classes = _group_by_canonical((m.entries, 1) for m in enumerate_regular_matrices(p, d))
-    labeled_total = sum(math.factorial(p) // aut for aut, _, _ in classes.values())
+    classes = _group_by_canonical((rows, 1) for rows in _regular_rows(p, d))
+    labeled_total = sum(math.factorial(p) // aut for aut, _ in classes.values())
     expected = count_regular_matrices(p, d)
     if labeled_total != expected:
         raise CensusInvariantError(
             f"census for p={p}, d={d} holds {labeled_total} labeled matrices, "
             f"expected {expected}"
         )
+    expected = class_count(p, d)
+    if len(classes) != expected:
+        raise CensusInvariantError(
+            f"census for p={p}, d={d} has {len(classes)} classes, expected {expected}"
+        )
     cardinalities = {
-        canon: (aut_order, labeled * weight(canon, d))
-        for canon, (aut_order, labeled, _) in classes.items()
+        canon: (aut, math.factorial(p) // aut * weight(canon, d))
+        for canon, (aut, _) in classes.items()
     }
     return _finish_report(p, d, cardinalities)
 
@@ -217,18 +225,17 @@ def build_census(p: int, d: int) -> CensusReport:
 def oracle_census(p: int, d: int) -> CensusReport:
     """Census rebuilt by brute force: raw word tallies, no counting formulas.
 
-    The grouping checks the labeled count of every class, and each class's
-    words must split evenly over its labeled matrices.
+    The grouping checks that every class got all its labeled matrices, and
+    each class's words must split evenly over them.
     """
-    tally = _word_tally(enumerate_words(p, d), p, d)
-    classes = {}
-    for canon, (aut_order, labeled, words) in _group_by_canonical(tally.items()).items():
+    classes = _group_by_canonical(_word_tally(enumerate_words(p, d), p, d).items())
+    for canon, (aut_order, words) in classes.items():
+        labeled = math.factorial(p) // aut_order
         if words % labeled:
             raise CensusInvariantError(
                 f"class of {canon}: {words} words over {labeled} matrices "
                 "is not an integer per-matrix count"
             )
-        classes[canon] = (aut_order, words)
     return _finish_report(p, d, classes)
 
 

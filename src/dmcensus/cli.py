@@ -237,7 +237,6 @@ def _verify_one(p: int, catalog: Catalog, out) -> tuple[bool, int, int, int]:
     verification = verify_against_catalog(report, catalog)
     records = catalog.for_p(p)
 
-    ok = True
     print(f"== p={p}, d=2 ==", file=out)
     print(
         f"computed: {len(report.entries)} classes, total {report.total}",
@@ -246,7 +245,6 @@ def _verify_one(p: int, catalog: Catalog, out) -> tuple[bool, int, int, int]:
     if diff.is_empty():
         print(f"oracle cross-check: OK ({oracle.total} words)", file=out)
     else:
-        ok = False
         print("oracle cross-check: FAIL", file=out)
         for canon in diff.only_in_a:
             print(f"  only in analytic census: {canon}", file=out)
@@ -256,7 +254,7 @@ def _verify_one(p: int, catalog: Catalog, out) -> tuple[bool, int, int, int]:
             print(f"  {canon}: analytic {card_a} vs oracle {card_b}", file=out)
     if not records:
         print(f"catalog: no records for p={p} (skipped)", file=out)
-        return ok, 0, 0, 0
+        return diff.is_empty(), 0, 0, 0
     print(
         f"catalog: {len(records)} records; matched {len(verification.matched)}, "
         f"corrected {len(verification.corrected)}, "
@@ -275,18 +273,16 @@ def _verify_one(p: int, catalog: Catalog, out) -> tuple[bool, int, int, int]:
         if item.record.note:
             print(f"    note: {item.record.note}", file=out)
     for item in verification.mismatched:
-        ok = False
         print(f"  mismatched {item.record.designation}: {item.reason}", file=out)
     for item in verification.unmatched_catalog:
-        ok = False
         print(f"  unmatched record {item.record.designation}: {item.reason}", file=out)
     for entry in verification.unmatched_computed:
-        ok = False
         print(
             f"  computed class {p},{entry.rank} (cardinality {entry.cardinality}) "
             "has no catalog record",
             file=out,
         )
+    ok = diff.is_empty() and verification.ok()
     return ok, len(records), len(verification.matched), len(verification.corrected)
 
 
@@ -413,7 +409,3 @@ def run_cli(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-def main(argv: list[str] | None = None) -> int:
-    return run_cli(argv)

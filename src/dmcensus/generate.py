@@ -1,16 +1,23 @@
-"""Exhaustive streams: all d-regular arc matrices and all configuration words.
+"""Exhaustive streams, and exact counts of what the matrix stream holds.
 
-Both streams are demand-driven, duplicate-free, and emitted in ascending
-lexicographic order so that downstream output is byte-stable across runs.
-count_regular_matrices counts the matrix stream exactly without running it,
-from the same table of rows, so a census can check the stream against it.
+The streams, all d-regular arc matrices and all configuration words, are
+demand-driven, duplicate-free, and emitted in ascending lexicographic order
+so that downstream output is byte-stable across runs.  Two exact counts
+share one DP, _fixed_matrices, which counts the matrices a relabeling of a
+given cycle type fixes, and neither shares code with the streams:
+count_regular_matrices is its value at the identity, the length of the
+matrix stream, and class_count sums it over cycle types by Burnside's lemma,
+the number of isomorphism classes.  A census checks its stream against both.
 
-This is where generated matrices enter the package and are validated: the
-matrix stream yields ArcMatrix objects, and word_to_matrix checks that its
-word is an arrangement of 1^d ... p^d.  The word oracle in census does not
-project word by word: _word_tally sums each word to an integer key, counts
-the keys and decodes each distinct one once, to plain row tuples without
-that check; the oracle checks regularity once per class instead.
+This is where generated matrices enter the package and are validated:
+enumerate_regular_matrices yields ArcMatrix objects, and word_to_matrix
+checks that its word is an arrangement of 1^d ... p^d.  The census reads
+the private _regular_rows instead, the same matrices as plain row tuples,
+and makes an ArcMatrix only of the one matrix per class that it searches.
+The word oracle in census does not project word by word either: _word_tally
+sums each word to an integer key, counts the keys and decodes each distinct
+one once, to plain row tuples without that check; the oracle checks
+regularity once per class instead.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 from functools import cache
 from itertools import product
+from math import comb, factorial, gcd
 from operator import getitem, le
 
 from .core import ArcMatrix, check_node_cap, total_configurations
@@ -29,9 +37,24 @@ from .core import ArcMatrix, check_node_cap, total_configurations
 Word = tuple[int, ...]
 
 
-def _row_table(p: int, d: int) -> list[tuple[int, ...]]:
-    """The rows of length p that sum to d, ascending."""
-    return [row for row in product(range(d + 1), repeat=p) if sum(row) == d]
+def _regular_rows(p: int, d: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The matrices of enumerate_regular_matrices(p, d) as plain row tuples."""
+    check_node_cap(p)
+    total_configurations(p, d)
+    if p <= 1:
+        yield ((d,),) * p
+        return
+    table = [row for row in product(range(d + 1), repeat=p) if sum(row) == d]
+
+    def fill(rows, remaining):
+        if len(rows) == p - 1:
+            yield (*rows, tuple(remaining))
+            return
+        for row in table:
+            if all(map(le, row, remaining)):
+                yield from fill((*rows, row), [r - e for r, e in zip(remaining, row)])
+
+    yield from fill((), [d] * p)
 
 
 def enumerate_regular_matrices(p: int, d: int) -> Iterator[ArcMatrix]:
@@ -46,49 +69,86 @@ def enumerate_regular_matrices(p: int, d: int) -> Iterator[ArcMatrix]:
     p=8, d=3).  At p <= 1 the one matrix is yielded without a table, so any
     d is instant there.
     """
-    check_node_cap(p)
-    total_configurations(p, d)
-    if p <= 1:
-        yield ArcMatrix(((d,),) * p)
-        return
-    table = _row_table(p, d)
+    return map(ArcMatrix, _regular_rows(p, d))
 
-    def fill(rows, remaining):
-        if len(rows) == p - 1:
-            yield ArcMatrix((*rows, tuple(remaining)))
+
+def _fixed_matrices(lengths: tuple[int, ...], d: int) -> int:
+    """Count the d-regular matrices fixed by a permutation with these cycle lengths.
+
+    A fixed matrix is constant on the cell orbits of the permutation acting
+    on rows and columns at once.  The cells where a cycle of length a meets
+    one of length b form g = gcd(a, b) orbits; a block sum y over them adds
+    (b/g) * y to each row of the a-cycle and (a/g) * y to each column of the
+    b-cycle, and splits over the orbits in C(y+g-1, g-1) ways.  Rows are
+    placed one cycle at a time; the completions depend only on the cycles
+    left and the column deficits, which are memoized sorted within each run
+    of equal cycle lengths, as such columns are interchangeable; so the
+    lengths must ascend, as _partitions gives them.
+    """
+    k = len(lengths)
+
+    def placements(a, deficits, j, left):  # (ways, deficits after) for one row cycle
+        if j == k:
+            if not left:
+                yield 1, ()
             return
-        for row in table:
-            if all(map(le, row, remaining)):
-                yield from fill((*rows, row), [r - e for r, e in zip(remaining, row)])
+        b = lengths[j]
+        g = gcd(a, b)
+        for y in range(min(left * g // b, deficits[j] * g // a) + 1):
+            for ways, rest in placements(a, deficits, j + 1, left - b // g * y):
+                yield comb(y + g - 1, g - 1) * ways, (deficits[j] - a // g * y, *rest)
 
-    yield from fill((), [d] * p)
+    @cache
+    def completions(i, deficits):
+        if i == k:  # every row sums to d, so every column does too
+            return 1
+        return sum(
+            ways * completions(i + 1, tuple(x for _, x in sorted(zip(lengths, after))))
+            for ways, after in placements(lengths[i], deficits, 0, d)
+        )
+
+    return completions(0, (d,) * k)
 
 
 def count_regular_matrices(p: int, d: int) -> int:
     """Length of enumerate_regular_matrices(p, d), counted without enumeration.
 
-    Rows are placed top-down from the stream's table, as the stream places
-    them, but the count of completions depends only on the number of rows
-    left and the multiset of column deficits, so it is memoized on the rows
-    left and the sorted deficits.  The stream's refusals apply.
+    The matrices fixed by the identity permutation, p cycles of length 1.
+    The stream's refusals apply, and p <= 1 gives 1 at once.
+    """
+    check_node_cap(p)
+    total_configurations(p, d)
+    return 1 if p <= 1 else _fixed_matrices((1,) * p, d)
+
+
+def _partitions(n: int, most: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of n into parts of at most `most`, each part list ascending."""
+    if n == 0:
+        yield ()
+    for part in range(min(n, most), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (*rest, part)
+
+
+def class_count(p: int, d: int) -> int:
+    """The number of isomorphism classes of p x p d-regular matrices.
+
+    Burnside's lemma over the cycle types λ of the relabelings:
+    (1/p!) * sum of |C_λ| * Fix(λ), where the class C_λ holds
+    p! / prod(k^m_k * m_k!) permutations for m_k cycles of length k.  The
+    stream's refusals apply, and p <= 1 gives 1 at once.
     """
     check_node_cap(p)
     total_configurations(p, d)
     if p <= 1:
         return 1
-    table = _row_table(p, d)
-
-    @cache
-    def completions(left, deficits):
-        if left == 1:  # the deficits sum to d and form the forced last row
-            return 1
-        return sum(
-            completions(left - 1, tuple(sorted(r - e for r, e in zip(deficits, row))))
-            for row in table
-            if all(map(le, row, deficits))
-        )
-
-    return completions(p, (d,) * p)
+    total = 0
+    for lengths in _partitions(p, p):
+        size = factorial(p)
+        for n, m in Counter(lengths).items():
+            size //= n**m * factorial(m)
+        total += size * _fixed_matrices(lengths, d)
+    return total // factorial(p)
 
 
 def enumerate_words(p: int, d: int) -> Iterator[Word]:

@@ -22,6 +22,7 @@ from dmcensus import (
     NodeCapError,
     build_census,
     canonical_form,
+    class_count,
     enumerate_regular_matrices,
     enumerate_words,
     class_lookup,
@@ -31,9 +32,11 @@ from dmcensus import (
     parse_monomial,
     total_configurations,
     verify_against_catalog,
+    weight,
+    word_to_matrix,
 )
 from dmcensus.canonical import clear_cache
-from dmcensus.census import _group_by_canonical
+from dmcensus.census import _finish_report, _group_by_canonical
 
 
 def test_census_two_nodes(census_d2):
@@ -117,11 +120,41 @@ def test_single_node_census_of_any_degree(build, d):
 def test_build_census_checks_the_exact_labeled_count(monkeypatch):
     # 2*I_3 is a class of one labeled matrix; without it every other check
     # that runs before the total still holds
-    doubled = ArcMatrix(((2, 0, 0), (0, 2, 0), (0, 0, 2)))
-    stream = [m for m in enumerate_regular_matrices(3, 2) if m != doubled]
-    monkeypatch.setattr(dmcensus.census, "enumerate_regular_matrices", lambda p, d: iter(stream))
+    doubled = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
+    stream = [m.entries for m in enumerate_regular_matrices(3, 2) if m.entries != doubled]
+    monkeypatch.setattr(dmcensus.census, "_regular_rows", lambda p, d: iter(stream))
     with pytest.raises(CensusInvariantError, match="holds 20 labeled matrices, expected 21"):
         build_census(3, 2)
+
+
+@pytest.mark.parametrize("p, d", [(p, 2) for p in range(6)] + [(6, 1), (4, 3)])
+def test_census_has_the_burnside_class_count(p, d):
+    assert len(build_census(p, d).entries) == class_count(p, d)
+
+
+def test_build_census_checks_the_exact_class_count(monkeypatch):
+    monkeypatch.setattr(dmcensus.census, "class_count", lambda p, d: class_count(p, d) + 1)
+    with pytest.raises(CensusInvariantError, match="has 8 classes, expected 9"):
+        build_census(3, 2)
+
+
+def test_census_checks_its_total(census_d2):
+    classes = {e.canonical: (e.aut_order, e.cardinality) for e in census_d2(2).entries}
+    canon = census_d2(2).entries[0].canonical
+    classes[canon] = (classes[canon][0], classes[canon][1] + 1)
+    with pytest.raises(CensusInvariantError, match="totals 7, expected 6"):
+        _finish_report(2, 2, classes)
+
+
+def test_oracle_checks_each_class_splits_its_words_evenly(monkeypatch):
+    # The matrix of this word has |Aut| = 2, so its class holds 3 labeled
+    # matrices with 8 words each; without the word, 23 words are left.
+    dropped = (1, 2, 1, 3, 2, 3)
+    assert weight(word_to_matrix(dropped, 3, 2), 2) == 8
+    words = [w for w in enumerate_words(3, 2) if w != dropped]
+    monkeypatch.setattr(dmcensus.census, "enumerate_words", lambda p, d: iter(words))
+    with pytest.raises(CensusInvariantError, match="23 words over 3 matrices"):
+        oracle_census(3, 2)
 
 
 def test_build_census_refuses_an_over_budget_size():
@@ -329,6 +362,24 @@ def test_verify_unparseable_record(census_d2):
     verification = verify_against_catalog(census_d2(2), bad)
     assert len(verification.unmatched_catalog) == 1
     assert "unparseable" in verification.unmatched_catalog[0].reason
+
+
+def test_verify_reports_a_record_of_a_class_the_census_lacks(census_d2):
+    report = census_d2(2)
+    short = replace(report, entries=report.entries[:-1])
+    record = CatalogRecord(2, 1, 1, "x11 x11 x22 x22", "")  # the last class, 2*I_2
+    verification = verify_against_catalog(short, Catalog((record,)))
+    assert [(u.record, u.reason) for u in verification.unmatched_catalog] == [
+        (record, "no computed class with this canonical form")
+    ]
+
+
+def test_verify_reports_a_record_naming_a_node_beyond_p(census_d2):
+    record = CatalogRecord(2, 1, 1, "x11 x11 x23 x32", "")
+    verification = verify_against_catalog(census_d2(2), Catalog((record,)))
+    assert [(u.record, u.reason) for u in verification.unmatched_catalog] == [
+        (record, "factor (2,3) names a node beyond p=2")
+    ]
 
 
 def test_class_lookup_examples(census_d2):

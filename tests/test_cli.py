@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dmcensus
-from dmcensus import ArcMatrix, build_census, emit_dot, run_cli
+import dmcensus.cli
+from dmcensus import ArcMatrix, build_census, emit_dot, oracle_census, run_cli
 from dmcensus.cli import (
     parse_census_csv,
     parse_census_jsonl,
@@ -286,6 +288,57 @@ def test_verify_detects_tampered_catalog(tmp_path, capsys):
     assert run_cli(["verify", "-p", "2", "--paper-data", str(bad)]) == 1
     out = capsys.readouterr().out
     assert "mismatched 2,2,5" in out
+    assert "verification: FAIL" in out
+
+
+def test_verify_reports_an_oracle_disagreement(monkeypatch, capsys):
+    def tampered(p, d):
+        report = oracle_census(p, d)
+        first, middle, last = report.entries
+        first = replace(first, class_id=replace(first.class_id, cardinality=2))
+        last = replace(last, canonical=ArcMatrix(((1, 0), (0, 1))))
+        return replace(report, entries=(first, middle, last))
+
+    monkeypatch.setattr(dmcensus.cli, "oracle_census", tampered)
+    assert run_cli(["verify", "-p", "2"]) == 1
+    out = capsys.readouterr().out
+    assert (
+        "oracle cross-check: FAIL\n"
+        "  only in analytic census: 2 0; 0 2\n"
+        "  only in oracle census: 1 0; 0 1\n"
+        "  0 2; 2 0: analytic 1 vs oracle 2\n"
+    ) in out
+    assert "verification: FAIL" in out
+
+
+def test_verify_reports_an_unmatched_record(tmp_path, capsys):
+    extra = tmp_path / "extra.csv"
+    extra.write_text(
+        "p,rank,cardinality,monomial,note\n"
+        "2,1,1,x11 x11 x22 x22,\n"
+        "2,2,4,x11 x12 x22 x21,\n"
+        "2,3,1,x12 x12 x21 x21,\n"
+        "2,4,1,x11 + x22,\n"
+    )
+    assert run_cli(["verify", "-p", "2", "--paper-data", str(extra)]) == 1
+    out = capsys.readouterr().out
+    assert "matched 3, corrected 0, mismatched 0, unmatched 1\n" in out
+    assert "  unmatched record 2,4,1: unparseable monomial: " in out
+    assert "has no catalog record" not in out
+    assert "verification: FAIL" in out
+
+
+def test_verify_reports_a_class_no_record_claims(tmp_path, capsys):
+    short = tmp_path / "short.csv"
+    short.write_text(
+        "p,rank,cardinality,monomial,note\n"
+        "2,1,1,x11 x11 x22 x22,\n"
+        "2,3,1,x12 x12 x21 x21,\n"
+    )
+    assert run_cli(["verify", "-p", "2", "--paper-data", str(short)]) == 1
+    out = capsys.readouterr().out
+    assert "matched 2, corrected 0, mismatched 0, unmatched 0\n" in out
+    assert "  computed class 2,2 (cardinality 4) has no catalog record\n" in out
     assert "verification: FAIL" in out
 
 

@@ -9,6 +9,7 @@ from dmcensus import (
     ArcMatrix,
     CountBudgetError,
     NodeCapError,
+    class_count,
     count_regular_matrices,
     enumerate_regular_matrices,
     enumerate_words,
@@ -73,8 +74,29 @@ def test_count_refusals(monkeypatch):
         count_regular_matrices(11, 2)
     with pytest.raises(CountBudgetError):
         count_regular_matrices(5, 20)
-    monkeypatch.setattr(dmcensus.generate, "_row_table", None)  # no table at p <= 1
+    monkeypatch.setattr(dmcensus.generate, "_fixed_matrices", None)  # no DP at p <= 1
     assert count_regular_matrices(0, 10**6) == count_regular_matrices(1, 10**6) == 1
+
+
+@pytest.mark.parametrize(
+    "d, counts",
+    [
+        (2, dict(enumerate([1, 1, 3, 8, 25, 85, 397, 2_183, 15_129]))),
+        (1, dict(enumerate([1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]))),  # the partition numbers
+        (3, {4: 118, 5: 1_411, 6: 30_335}),
+    ],
+)
+def test_class_counts(d, counts):
+    assert {p: class_count(p, d) for p in counts} == counts
+
+
+def test_class_count_refusals(monkeypatch):
+    with pytest.raises(NodeCapError):
+        class_count(11, 2)
+    with pytest.raises(CountBudgetError):
+        class_count(5, 20)
+    monkeypatch.setattr(dmcensus.generate, "_fixed_matrices", None)  # no DP at p <= 1
+    assert class_count(0, 10**6) == class_count(1, 10**6) == 1
 
 
 def test_four_node_matrices_match_word_projections():
