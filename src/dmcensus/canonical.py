@@ -39,6 +39,20 @@ first[:L] and maps first[L] to w, or it is skipped as the image of a tried
 sibling under found generators that fix first[:L], and that sibling holds a
 minimal leaf too.
 
+The same walk is the prefix test of orderly generation
+(_is_canonical_prefix).  Given the top m rows of a p x p matrix, it tries
+the orderings of the m known nodes and puts the free nodes m..p-1 after
+them, sorted by their columns' vectors over the ordered rows, which is the
+least arrangement of those columns.  A block below the given rows is the
+top of a relabeling of every completion, so the prefix starts no canonical
+matrix, and the walk stops there; at m = p it is the full canonicity test.
+The bound carries over, as a row tail still holds the row's entries over
+the unused and free nodes.  So does the pruning: two orderings with equal
+blocks differ by a map of the known nodes that keeps the block and the
+multiset of free columns, and composed with any ordering that map gives an
+ordering with the same block, which is all the orbit and backjump cuts
+need.
+
 Results are memoized per matrix in a bounded LRU cache.  A census searches
 one matrix per class, so the memo's hits come after the build: the record
 parsers and catalog verification search again canonical matrices that the
@@ -56,9 +70,12 @@ from functools import lru_cache
 from .core import ArcMatrix, DimensionError, Permutation, check_node_cap
 
 # Memo capacity.  Measured traffic is a few hundred distinct inputs per job
-# (see above), and without the memo a cold census-d2 bench round takes about
-# a fifth longer.  The size is headroom for callers that canonicalize many
-# labeled matrices themselves; the LRU bound keeps memory flat beyond it.
+# (see above).  With the census built by orderly generation the memo still
+# pays: a cold census-d2 bench round took 0.100-0.103 s scaled with it and
+# 0.118-0.125 s with a size of 0 (6 alternating pairs of 8 s runs, seed 3,
+# one pinned core of a 2-vCPU host).  The size is headroom for callers that
+# canonicalize many labeled matrices themselves; the LRU bound keeps memory
+# flat beyond it.
 _MEMO_SIZE = 2**15
 
 
@@ -84,13 +101,21 @@ def _orbit_cells(gens: list[list[int]], fixed, p: int) -> list[int]:
     return cell
 
 
-def _search(rows: tuple[tuple[int, ...], ...]):
-    p = len(rows)
-    best = [rows[a][b] for a in range(p) for b in range(p)]
+def _least_block(rows: tuple[tuple[int, ...], ...], p: int, stop: bool):
+    """Walk the orderings of the known nodes 0..m-1, m = len(rows) <= p.
+
+    An ordering places the known nodes at positions 0..m-1 and the free
+    nodes m..p-1 after them in the order of their columns' vectors over the
+    ordered rows, the least such block.  Returns (best, first, gens): the
+    least m x p block found (row-major), its first leaf and the automorphisms
+    found.  With stop, returns None at the first block below rows instead.
+    """
+    m = len(rows)
+    best = [x for row in rows for x in row]
     first: tuple[int, ...] | None = None  # first leaf found that equals best
     gens: list[list[int]] = []  # automorphisms found, as node maps
     order: list[int] = []
-    unused = set(range(p))
+    unused = set(range(p))  # free nodes stay in: they fill every row tail
 
     def exceeds_best(k: int) -> bool:
         # Compare the optimistic completion of rows 0..k-1 against the
@@ -102,41 +127,48 @@ def _search(rows: tuple[tuple[int, ...], ...]):
                 x, y = row[order[j]], best[base + j]
                 if x != y:
                     return x > y
-            offset = base + k
-            for t, x in enumerate(sorted(row[u] for u in unused)):
-                y = best[offset + t]
-                if x != y:
-                    return x > y
+            tail = sorted(map(row.__getitem__, unused))
+            incumbent = best[base + k : base + p]
+            if tail != incumbent:
+                return tail > incumbent
             base += p
         return False
 
     def dfs() -> int:
-        # Returns the level to resume at: p when done normally, and L < p
-        # after an automorphism is found whose leaf first leaves `first` at
-        # level L, so that level's current child is abandoned.
+        # Returns the level to resume at: p when done normally, L < m after
+        # an automorphism is found whose leaf first leaves `first` at level
+        # L, so that level's current child is abandoned, and -1 to stop.
         nonlocal first
         k = len(order)
-        if k == p:
-            flat = [rows[order[a]][order[b]] for a in range(p) for b in range(p)]
+        if k == m:
+            placed = [rows[v] for v in order]
+            flat = [row[v] for row in placed for v in order]
+            if m < p:
+                tails = list(zip(*sorted(zip(*[row[m:] for row in placed]))))
+                flat = [x for a in range(m) for x in (*flat[a * m : a * m + m], *tails[a])]
             if flat < best:
+                if stop:
+                    return -1
                 best[:] = flat
                 first = tuple(order)
             elif flat == best:
                 if first is None:
                     first = tuple(order)
                     return p
-                g = [0] * p
+                g = [0] * m
                 for a, b in zip(first, order):
                     g[a] = b
                 gens.append(g)
-                return next(level for level in range(p) if order[level] != first[level])
+                return next(level for level in range(m) if order[level] != first[level])
             return p
         tried: list[int] = []
         known_gens, cells = 0, None
         for v in sorted(unused):
+            if v >= m:
+                break
             if gens:
                 if known_gens != len(gens):
-                    known_gens, cells = len(gens), _orbit_cells(gens, order, p)
+                    known_gens, cells = len(gens), _orbit_cells(gens, order, m)
                 if any(cells[u] == cells[v] for u in tried):
                     continue
             tried.append(v)
@@ -149,7 +181,12 @@ def _search(rows: tuple[tuple[int, ...], ...]):
                 return level
         return p
 
-    dfs()
+    return None if dfs() < 0 else (best, first, gens)
+
+
+def _search(rows: tuple[tuple[int, ...], ...]):
+    p = len(rows)
+    best, first, gens = _least_block(rows, p, stop=False)
     aut_order = 1
     if gens:
         for level, v in enumerate(first):
@@ -160,6 +197,28 @@ def _search(rows: tuple[tuple[int, ...], ...]):
     for position, v in enumerate(first):
         images[v] = position
     return canon, aut_order, tuple(images)
+
+
+def _is_canonical_prefix(rows: tuple[tuple[int, ...], ...], p: int) -> bool:
+    """False when no matrix with these top rows can be its own canonical form.
+
+    Some relabeling of every completion starts with a block below rows when
+    an ordering of the known nodes 0..m-1 gives one; at m = p this is the full
+    canonicity test.  Two cheap checks come before the walk.  The identity
+    ordering: the free columns m..p-1 must already ascend by their vectors
+    over the rows.  The top row: an ordering that starts at node v can make
+    it v's loop count, then v's other known entries ascending, then its free
+    entries ascending, which must not fall below rows[0].
+    """
+    m = len(rows)
+    free = list(zip(*[row[m:] for row in rows]))
+    if any(a > b for a, b in zip(free, free[1:])):
+        return False
+    top = list(rows[0])
+    for v, row in enumerate(rows):
+        if [row[v], *sorted(row[:v] + row[v + 1 : m]), *sorted(row[m:])] < top:
+            return False
+    return _least_block(rows, p, stop=True) is not None
 
 
 @lru_cache(maxsize=_MEMO_SIZE)

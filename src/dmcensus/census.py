@@ -1,36 +1,40 @@
 """Class census construction, the brute-force oracle, and catalog verification.
 
-Two independent routes produce the census for (p, d).  Both hand (rows,
-count) pairs, the plain row tuples of a labeled matrix and its count, to
-_group_by_canonical and read back canonical -> (|Aut|, summed count).  The
-grouping runs one canonical search per class, on the first matrix of the
-class to arrive, and assigns the later ones by brute force: the searched
-matrix's p! relabelings are listed, and each later matrix must be one of
-them.  Each search is checked against that orbit (its canonical matrix is
-the least relabeling, and len(orbit) * |Aut| == p!), no labeled matrix may
-arrive twice, and every listed relabeling must arrive, so each class holds
-p!/|Aut| labeled matrices (orbit-stabilizer); callers derive that count.
+Two independent routes produce the census for (p, d).
 
-* build_census streams each labeled d-regular matrix once, as plain rows
-  from generate._regular_rows, and computes each class cardinality
-  analytically as (p!/|Aut|) * weight(canonical).  The sum of p!/|Aut| over
-  its classes must equal count_regular_matrices, and the number of classes
-  class_count, two exact counts made without the stream.
+* build_census takes each class's canonical matrix once, in rank order,
+  from the orderly generator generate._canonical_rows, which lists no
+  labeled matrix.  Each must be its own canonical_form, which gives |Aut|,
+  and the class cardinality is computed analytically as
+  (p!/|Aut|) * weight(canonical).  The sum of p!/|Aut| over its classes
+  must equal count_regular_matrices, and the number of classes class_count,
+  two exact counts made without the generator.  The class count is made
+  first, and a census above CLASS_BUDGET classes is refused.
 * oracle_census counts configuration words per matrix and takes each class
-  cardinality as its raw word count, with no counting formula.
+  cardinality as its raw word count, with no counting formula.  It hands
+  (rows, count) pairs, the plain row tuples of a labeled matrix and its
+  count, to _group_by_canonical and reads back canonical -> (|Aut|, summed
+  count).  The grouping runs one canonical search per class, on the first
+  matrix of the class to arrive, and assigns the later ones by brute force:
+  the searched matrix's p! relabelings are listed, and each later matrix
+  must be one of them.  Each search is checked against that orbit (its
+  canonical matrix is the least relabeling, and len(orbit) * |Aut| == p!),
+  no labeled matrix may arrive twice, and every listed relabeling must
+  arrive, so each class holds p!/|Aut| labeled matrices (orbit-stabilizer).
 
-Neither route validates a labeled matrix.  The grouping builds one
-ArcMatrix per class, from the rows of the matrix it searches.  The oracle
-counts every word under an integer key of its matrix, unchecked (see
-generate._word_tally).  In place of a per-word check, _finish_report
-requires each class's canonical matrix to be d-regular: a word with a wrong
-multiset projects to a non-regular matrix, so its class fails this check (or
-the orbit-stabilizer one).
+Neither route validates a labeled matrix.  build_census makes one ArcMatrix
+per generated canonical matrix, and the grouping one per class, from the
+rows of the matrix it searches.  The oracle counts every word under an
+integer key of its matrix, unchecked (see generate._word_tally).  In place
+of a per-word check, _finish_report requires each class's canonical matrix
+to be d-regular: a word with a wrong multiset projects to a non-regular
+matrix, so its class fails this check (or the orbit-stabilizer one).
 
 A CensusEntry stores its ClassId, canonical matrix and |Aut|; every other
-count is derived.  compare_census cross-checks the two routes: as both pass
-the orbit-stabilizer check, equal cardinalities pin each class's word count
-to (p!/|Aut|) * weight.  verify_against_catalog checks a census against the
+count is derived.  compare_census cross-checks the two routes: the oracle
+passes the orbit-stabilizer check and both routes take |Aut| from
+canonical_form, so equal cardinalities pin each class's word count to
+(p!/|Aut|) * weight.  verify_against_catalog checks a census against the
 bundled reference catalog.
 """
 
@@ -45,9 +49,9 @@ from itertools import chain, permutations
 from pathlib import Path
 
 from .canonical import canonical_form
-from .core import ArcMatrix, ClassId, is_regular, total_configurations, weight
+from .core import ArcMatrix, ClassId, CountBudgetError, is_regular, total_configurations, weight
 from .generate import (
-    _regular_rows,
+    _canonical_rows,
     _word_tally,
     class_count,
     count_regular_matrices,
@@ -124,7 +128,7 @@ class CensusReport:
 
 
 def _group_by_canonical(pairs) -> dict[ArcMatrix, tuple[int, int]]:
-    """Group (rows, count) pairs into canonical -> (aut_order, count).
+    """Group the oracle's (rows, count) pairs into canonical -> (aut_order, count).
 
     rows are a labeled matrix's plain row tuples, and count sums over the
     pairs of the class.  The first matrix of each class, alone made an
@@ -194,30 +198,58 @@ def _finish_report(p: int, d: int, classes: dict[ArcMatrix, tuple[int, int]]) ->
     return CensusReport(p, d, tuple(entries), total)
 
 
-def build_census(p: int, d: int) -> CensusReport:
-    """Census via canonical grouping and the orbit-stabilizer cardinality.
+# The most classes build_census takes on; a larger census is refused before
+# anything is generated.  Orderly generation costs about one prefix test per
+# row tried, so time follows the classes and the prefixes rejected around
+# them.  The budget is set from the sizes it admits, all timed on one core
+# of a 2-vCPU host: the slowest are (10,1), 42 classes in 9-10 s of CPU,
+# (7,2), 2,183 classes in 4-5 s, and (4,6), 5,822 classes in 1.3 s.  The
+# nearest class counts above it are 15,129 at (8,2), 16,389 at (4,7),
+# 19,158 at (5,4) and 30,335 at (6,3).
+CLASS_BUDGET = 10_000
 
-    Each class has p!/|Aut| labeled matrices and cardinality (p!/|Aut|) * weight.
-    The labeled matrices over all classes must number count_regular_matrices,
-    and the classes class_count, two exact counts made without the stream, so
-    a class the stream misses entirely is caught.
+
+def build_census(p: int, d: int) -> CensusReport:
+    """Census from the canonical matrices alone, with analytic cardinalities.
+
+    generate._canonical_rows yields each class's canonical matrix once, in
+    rank order, without listing the labeled matrices.  Each one must be its
+    own canonical_form, which gives |Aut|; the class has p!/|Aut| labeled
+    matrices and cardinality (p!/|Aut|) * weight.  The labeled matrices over
+    all classes must number count_regular_matrices, and the classes
+    class_count, two exact counts made without the generator, so a class it
+    misses is caught.  The class count is made first, and a census of more
+    than CLASS_BUDGET classes is refused with CountBudgetError.
     """
-    classes = _group_by_canonical((rows, 1) for rows in _regular_rows(p, d))
-    labeled_total = sum(math.factorial(p) // aut for aut, _ in classes.values())
+    expected_classes = class_count(p, d)
+    if expected_classes > CLASS_BUDGET:
+        raise CountBudgetError(
+            f"census for p={p}, d={d} has {expected_classes} classes, "
+            f"above the budget of {CLASS_BUDGET}"
+        )
+    classes: dict[ArcMatrix, int] = {}  # canonical -> aut_order
+    for rows in _canonical_rows(p, d):
+        matrix = ArcMatrix(rows)
+        result = canonical_form(matrix)
+        if result.canonical != matrix:
+            raise CensusInvariantError(
+                f"generated matrix {matrix} is not canonical; its class has {result.canonical}"
+            )
+        classes[matrix] = result.aut_order
+    labeled_total = sum(math.factorial(p) // aut for aut in classes.values())
     expected = count_regular_matrices(p, d)
     if labeled_total != expected:
         raise CensusInvariantError(
             f"census for p={p}, d={d} holds {labeled_total} labeled matrices, "
             f"expected {expected}"
         )
-    expected = class_count(p, d)
-    if len(classes) != expected:
+    if len(classes) != expected_classes:
         raise CensusInvariantError(
-            f"census for p={p}, d={d} has {len(classes)} classes, expected {expected}"
+            f"census for p={p}, d={d} has {len(classes)} classes, expected {expected_classes}"
         )
     cardinalities = {
         canon: (aut, math.factorial(p) // aut * weight(canon, d))
-        for canon, (aut, _) in classes.items()
+        for canon, aut in classes.items()
     }
     return _finish_report(p, d, cardinalities)
 

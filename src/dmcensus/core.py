@@ -32,7 +32,8 @@ class NodeCapError(ResourceLimitError):
 
 
 class CountBudgetError(ResourceLimitError):
-    """An exact count would not fit the 64-bit interop budget."""
+    """An exact count would not fit the 64-bit interop budget, or a census
+    would have more classes than census.CLASS_BUDGET."""
 
 
 class DimensionError(ValueError):

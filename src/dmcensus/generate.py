@@ -1,34 +1,41 @@
-"""Exhaustive streams, and exact counts of what the matrix stream holds.
+"""Exhaustive streams, orderly generation, and exact counts of what they hold.
 
-The streams, all d-regular arc matrices and all configuration words, are
-demand-driven, duplicate-free, and emitted in ascending lexicographic order
-so that downstream output is byte-stable across runs.  Two exact counts
-share one DP, _fixed_matrices, which counts the matrices a relabeling of a
-given cycle type fixes, and neither shares code with the streams:
-count_regular_matrices is its value at the identity, the length of the
-matrix stream, and class_count sums it over cycle types by Burnside's lemma,
-the number of isomorphism classes.  A census checks its stream against both.
+The streams, all d-regular arc matrices, the canonical ones alone and all
+configuration words, are demand-driven, duplicate-free, and emitted in
+ascending lexicographic order so that downstream output is byte-stable
+across runs.  The two matrix streams share one row fill, _regular_rows:
+enumerate_regular_matrices keeps every row that fits, and _canonical_rows
+keeps only the row prefixes that can still start a canonical matrix
+(orderly generation: Read 1978; Faradzev 1978; the prefix test is
+canonical._is_canonical_prefix), so it yields each class's canonical matrix
+once, in rank order, and never lists the labeled matrices.  Two exact
+counts share one DP, _fixed_matrices, which counts the matrices a
+relabeling of a given cycle type fixes, and neither shares code with the
+streams: count_regular_matrices is its value at the identity, the length of
+the labeled stream, and class_count sums it over cycle types by Burnside's
+lemma, the length of the canonical stream.  A census checks its classes
+against both.
 
 This is where generated matrices enter the package and are validated:
 enumerate_regular_matrices yields ArcMatrix objects, and word_to_matrix
 checks that its word is an arrangement of 1^d ... p^d.  The census reads
-the private _regular_rows instead, the same matrices as plain row tuples,
-and makes an ArcMatrix only of the one matrix per class that it searches.
-The word oracle in census does not project word by word either: _word_tally
-sums each word to an integer key, counts the keys and decodes each distinct
-one once, to plain row tuples without that check; the oracle checks
-regularity once per class instead.
+_canonical_rows as plain row tuples and makes an ArcMatrix of each, one per
+class.  The word oracle in census does not project word by word either:
+_word_tally sums each word to an integer key, counts the keys and decodes
+each distinct one once, to plain row tuples without that check; the oracle
+checks regularity once per class instead.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from functools import cache
 from itertools import product
 from math import comb, factorial, gcd
 from operator import getitem, le
 
+from .canonical import _is_canonical_prefix
 from .core import ArcMatrix, check_node_cap, total_configurations
 
 # A configuration word is a length d*p tuple over node names 1..p in which
@@ -37,8 +44,18 @@ from .core import ArcMatrix, check_node_cap, total_configurations
 Word = tuple[int, ...]
 
 
-def _regular_rows(p: int, d: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """The matrices of enumerate_regular_matrices(p, d) as plain row tuples."""
+def _regular_rows(
+    p: int, d: int, keep: Callable[[tuple[tuple[int, ...], ...]], bool]
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The d-regular p x p matrices, as plain row tuples, that keep lets through.
+
+    Rows are filled top-down from one ascending table of the rows that sum to
+    d, keeping a row only where it fits under the remaining column deficits
+    and keep(rows so far) holds; the last row is forced by those deficits.
+    keep sees every prefix of fewer than p - 1 rows and each whole matrix,
+    not a prefix of p - 1 rows: that has one completion.  Output is
+    ascending in row-major order.
+    """
     check_node_cap(p)
     total_configurations(p, d)
     if p <= 1:
@@ -47,12 +64,15 @@ def _regular_rows(p: int, d: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     table = [row for row in product(range(d + 1), repeat=p) if sum(row) == d]
 
     def fill(rows, remaining):
-        if len(rows) == p - 1:
-            yield (*rows, tuple(remaining))
-            return
         for row in table:
             if all(map(le, row, remaining)):
-                yield from fill((*rows, row), [r - e for r, e in zip(remaining, row)])
+                rows_next = (*rows, row)
+                left = [r - e for r, e in zip(remaining, row)]
+                if len(rows_next) < p - 1:
+                    if keep(rows_next):
+                        yield from fill(rows_next, left)
+                elif keep(matrix := (*rows_next, tuple(left))):
+                    yield matrix
 
     yield from fill((), [d] * p)
 
@@ -69,7 +89,18 @@ def enumerate_regular_matrices(p: int, d: int) -> Iterator[ArcMatrix]:
     p=8, d=3).  At p <= 1 the one matrix is yielded without a table, so any
     d is instant there.
     """
-    return map(ArcMatrix, _regular_rows(p, d))
+    return map(ArcMatrix, _regular_rows(p, d, lambda rows: True))
+
+
+def _canonical_rows(p: int, d: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The canonical d-regular p x p matrices, one per class, ascending.
+
+    A prefix that no canonical matrix starts with is dropped with all its
+    completions, and a whole matrix passes only if it is canonical, so each
+    class's lex-min matrix comes out once, and in rank order.  The
+    refusals of enumerate_regular_matrices apply.
+    """
+    return _regular_rows(p, d, lambda rows: _is_canonical_prefix(rows, p))
 
 
 def _fixed_matrices(lengths: tuple[int, ...], d: int) -> int:

@@ -39,6 +39,21 @@ def brute_aut_order(rows):
     )
 
 
+def brute_least_block(rows, p):
+    """Least block over the orderings of the m = len(rows) known nodes of a
+    p-column prefix, the free columns m..p-1 sorted by their vectors."""
+    m = len(rows)
+    blocks = []
+    for order in itertools.permutations(range(m)):
+        placed = [rows[v] for v in order]
+        free = sorted(zip(*[row[m:] for row in placed]))
+        blocks.append(tuple(
+            tuple(row[v] for v in order) + tuple(column[a] for column in free)
+            for a, row in enumerate(placed)
+        ))
+    return min(blocks)
+
+
 def brute_orbit_size(rows):
     """Number of distinct relabelings."""
     return len({relabel(rows, order) for order in itertools.permutations(range(len(rows)))})

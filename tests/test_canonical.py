@@ -17,9 +17,15 @@ from dmcensus import (
     canonical_form,
     enumerate_regular_matrices,
 )
-from dmcensus.canonical import _MEMO_SIZE, _canonical_cached, clear_cache
+from dmcensus.canonical import _MEMO_SIZE, _canonical_cached, _is_canonical_prefix, clear_cache
 
-from oracles import brute_aut_order, brute_canonical, brute_orbit_size, brute_witness
+from oracles import (
+    brute_aut_order,
+    brute_canonical,
+    brute_least_block,
+    brute_orbit_size,
+    brute_witness,
+)
 
 
 def random_permutation(rng, p):
@@ -74,6 +80,16 @@ def test_witness_is_the_least_minimal_ordering(p, d):
         for position, v in enumerate(brute_witness(m.entries)):
             images[v] = position
         assert canonical_form(m).witness.images == tuple(images)
+
+
+@pytest.mark.parametrize("p,d", [(2, 2), (3, 2), (4, 2), (3, 3), (4, 1), (5, 1)])
+def test_prefix_test_agrees_with_brute_force(p, d):
+    prefixes = {m.entries[:k] for m in enumerate_regular_matrices(p, d) for k in range(1, p + 1)}
+    for rows in prefixes:
+        assert _is_canonical_prefix(rows, p) == (brute_least_block(rows, p) == rows)
+    # at m = p the prefix test is the full canonicity test
+    for m in enumerate_regular_matrices(p, d):
+        assert _is_canonical_prefix(m.entries, p) == (canonical_form(m).canonical == m)
 
 
 def test_sampled_agreement_with_brute_force_p5():

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import time
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -90,6 +91,25 @@ def test_grouping_rejects_a_repeated_labeled_matrix(p):
 def test_grouping_checks_each_search_against_its_orbit(monkeypatch, change, error):
     monkeypatch.setattr(dmcensus.census, "canonical_form", lambda m: change(canonical_form(m)))
     with pytest.raises(CensusInvariantError, match=error):
+        oracle_census(3, 2)
+
+
+@pytest.mark.parametrize(
+    "change, error",
+    [
+        (
+            lambda r: replace(
+                r, canonical=ArcMatrix(tuple(row[::-1] for row in r.canonical.entries[::-1]))
+            ),
+            "is not canonical; its class has",
+        ),
+        (lambda r: replace(r, aut_order=2 * r.aut_order), "labeled matrices, expected 21"),
+    ],
+    ids=["non-minimal canonical", "wrong aut_order"],
+)
+def test_build_census_checks_each_search_of_a_generated_matrix(monkeypatch, change, error):
+    monkeypatch.setattr(dmcensus.census, "canonical_form", lambda m: change(canonical_form(m)))
+    with pytest.raises(CensusInvariantError, match=error):
         build_census(3, 2)
 
 
@@ -106,7 +126,7 @@ def test_one_canonical_search_per_class(monkeypatch, build, p, d, classes):
     report = build(p, d)
     assert len(report.entries) == len(searched) == classes
     if build is build_census:
-        # the ascending stream meets each class at its canonical matrix first
+        # the orderly generator yields each canonical matrix once, in rank order
         assert searched == [entry.canonical for entry in report.entries]
 
 
@@ -121,13 +141,14 @@ def test_build_census_checks_the_exact_labeled_count(monkeypatch):
     # 2*I_3 is a class of one labeled matrix; without it every other check
     # that runs before the total still holds
     doubled = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
-    stream = [m.entries for m in enumerate_regular_matrices(3, 2) if m.entries != doubled]
-    monkeypatch.setattr(dmcensus.census, "_regular_rows", lambda p, d: iter(stream))
+    stream = [e.canonical.entries for e in build_census(3, 2).entries
+              if e.canonical.entries != doubled]
+    monkeypatch.setattr(dmcensus.census, "_canonical_rows", lambda p, d: iter(stream))
     with pytest.raises(CensusInvariantError, match="holds 20 labeled matrices, expected 21"):
         build_census(3, 2)
 
 
-@pytest.mark.parametrize("p, d", [(p, 2) for p in range(6)] + [(6, 1), (4, 3)])
+@pytest.mark.parametrize("p, d", [(p, 2) for p in range(7)] + [(6, 1), (4, 3)])
 def test_census_has_the_burnside_class_count(p, d):
     assert len(build_census(p, d).entries) == class_count(p, d)
 
@@ -160,6 +181,27 @@ def test_oracle_checks_each_class_splits_its_words_evenly(monkeypatch):
 def test_build_census_refuses_an_over_budget_size():
     with pytest.raises(CountBudgetError):
         build_census(5, 20)
+
+
+@pytest.mark.parametrize("p, d, classes", [(8, 2, 15_129), (6, 3, 30_335)])
+def test_build_census_refuses_too_many_classes_up_front(p, d, classes):
+    start = time.perf_counter()
+    with pytest.raises(CountBudgetError, match=f"p={p}, d={d} has {classes} classes"):
+        build_census(p, d)
+    assert time.perf_counter() - start < 1
+
+
+def test_build_census_memory_follows_the_classes():
+    # Grouping the 202,410 labeled matrices through a table of pending
+    # relabelings peaks at 188,434 keys here, 26.6 MiB traced; orderly
+    # generation holds one row prefix and the 397 classes, 0.9 MiB.
+    tracemalloc.start()
+    try:
+        build_census(6, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_oracle_census_refuses_an_impossible_size():

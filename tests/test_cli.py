@@ -389,6 +389,11 @@ def test_node_cap_exits_3(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_class_budget_exits_3(capsys):
+    assert run_cli(["census", "-p", "8"]) == 3
+    assert capsys.readouterr().err.startswith("error: census for p=8, d=2 has 15129 classes")
+
+
 def test_count_budget_exits_3(capsys):
     assert run_cli(["oracle", "-p", "10", "-d", "3"]) == 3
     assert "exceeds the exact-count budget" in capsys.readouterr().err

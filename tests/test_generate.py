@@ -9,6 +9,7 @@ from dmcensus import (
     ArcMatrix,
     CountBudgetError,
     NodeCapError,
+    canonical_form,
     class_count,
     count_regular_matrices,
     enumerate_regular_matrices,
@@ -19,7 +20,7 @@ from dmcensus import (
     word_to_matrix,
 )
 
-from dmcensus.generate import _word_tally
+from dmcensus.generate import _canonical_rows, _word_tally
 from oracles import brute_regular_matrices, brute_word_matrix, brute_words
 
 
@@ -115,6 +116,15 @@ def test_matrix_stream_sorted_unique_regular():
         assert entries == sorted(entries)
         assert len(set(entries)) == len(entries)
         assert all(is_regular(m, d) for m in stream)
+
+
+@pytest.mark.parametrize(
+    "p,d", [(0, 2), (1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (3, 3), (4, 3), (5, 1), (6, 1)]
+)
+def test_orderly_generation_yields_the_sorted_canonical_forms(p, d):
+    # the labeled stream, grouped by canonical form, is the reference
+    expected = sorted({canonical_form(m).canonical.entries for m in enumerate_regular_matrices(p, d)})
+    assert list(_canonical_rows(p, d)) == expected
 
 
 def test_matrix_generator_validation():
