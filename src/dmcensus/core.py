@@ -32,8 +32,9 @@ class NodeCapError(ResourceLimitError):
 
 
 class CountBudgetError(ResourceLimitError):
-    """An exact count would not fit the 64-bit interop budget, or a census
-    would have more classes than census.CLASS_BUDGET."""
+    """An exact count would not fit the 64-bit interop budget, a census
+    would have more classes than census.CLASS_BUDGET, or an oracle more
+    words than census.WORD_BUDGET."""
 
 
 class DimensionError(ValueError):

@@ -20,20 +20,23 @@ This is where generated matrices enter the package and are validated:
 enumerate_regular_matrices yields ArcMatrix objects, and word_to_matrix
 checks that its word is an arrangement of 1^d ... p^d.  The census reads
 _canonical_rows as plain row tuples and makes an ArcMatrix of each, one per
-class.  The word oracle in census does not project word by word either:
-_word_tally sums each word to an integer key, counts the keys and decodes
-each distinct one once, to plain row tuples without that check; the oracle
-checks regularity once per class instead.
+class.  The word oracle in census does not list the words at all:
+_word_tally builds each word's integer key from a head key, over the first
+half of the positions, and a tail key from a table built once per multiset
+of symbols the head leaves, counts every word under its key and decodes
+each distinct key once, to plain row tuples without that check; the oracle
+checks regularity once per class instead.  enumerate_words, the words one
+by one, is the reference the tally is tested against.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from functools import cache
 from itertools import product
 from math import comb, factorial, gcd
-from operator import getitem, le
+from operator import le
 
 from .canonical import _is_canonical_prefix
 from .core import ArcMatrix, check_node_cap, total_configurations
@@ -119,12 +122,13 @@ def _fixed_matrices(lengths: tuple[int, ...], d: int) -> int:
     k = len(lengths)
 
     def placements(a, deficits, j, left):  # (ways, deficits after) for one row cycle
-        if j == k:
-            if not left:
-                yield 1, ()
-            return
         b = lengths[j]
         g = gcd(a, b)
+        if j == k - 1:  # the last column cycle takes what is left, or nothing fits
+            y, short = divmod(left, b // g)
+            if not short and a // g * y <= deficits[j]:
+                yield comb(y + g - 1, g - 1), (deficits[j] - a // g * y,)
+            return
         for y in range(min(left * g // b, deficits[j] * g // a) + 1):
             for ways, rest in placements(a, deficits, j + 1, left - b // g * y):
                 yield comb(y + g - 1, g - 1) * ways, (deficits[j] - a // g * y, *rest)
@@ -209,24 +213,48 @@ def enumerate_words(p: int, d: int) -> Iterator[Word]:
         word[k + 1 :] = reversed(word[k + 1 :])
 
 
-def _word_tally(words: Iterable[Word], p: int, d: int) -> dict[tuple[tuple[int, ...], ...], int]:
-    """Count the words projecting to each arc matrix, as word_to_matrix rows.
+def _word_tally(p: int, d: int) -> dict[tuple[tuple[int, ...], ...], int]:
+    """Count the configuration words projecting to each arc matrix, as rows.
 
-    Keys are plain row tuples, unchecked, in order of first appearance.  Each
-    word is first summed to an integer key in base d + 1: a symbol s in
-    block j adds 1 to digit (s - 1) * p + j, the row-major position of entry
-    (s, j).  A block has d positions, so no entry exceeds d, even for a word
-    off the multiset, and every key decodes exactly, once per matrix, by
-    divmod into rows of p digits.  A symbol outside 1..p raises KeyError.
-    Like enumerate_words, a (p, d) past the node cap or the count budget
-    fails before any table is built.
+    Keys are plain row tuples, unchecked, in order of first appearance in
+    enumerate_words' lexicographic order.  Each word is summed to an integer
+    key in base d + 1: a symbol s in block j adds 1 to digit (s - 1) * p + j,
+    the row-major position of entry (s, j); each distinct key decodes once,
+    by divmod into rows of p digits.  The words are not listed one by one
+    but split in two (meet in the middle; Horowitz and Sahni 1974): the
+    heads, the first half of the positions in lexicographic order, each
+    carry their partial key and the symbols they leave, and the keys of the
+    tails that can follow are built once per left-over multiset.  Each head
+    key plus each of its tail keys is one word, counted once, so every word
+    still adds 1 to its own key and no count is multiplied.  A (p, d) past
+    the node cap or the count budget fails before any table is built.
     """
     check_node_cap(p)
     total_configurations(p, d)
     base = d + 1
-    tables = [{s: base ** ((s - 1) * p + j) for s in range(1, p + 1)} for j in range(p)]
-    digits = [tables[pos // d] for pos in range(d * p)]
+    n = d * p
+    tables = [tuple(base ** (s * p + j) for s in range(p)) for j in range(p)]
+    digits = [tables[pos // d] for pos in range(n)]  # shared by the d positions of a block
     row_size = base**p
+
+    def fills(start, stop, counts):
+        # (key, symbols left) for each fill of positions start..stop-1, in lex order
+        stack = [(start, 0, counts)]  # depth first, so at most p entries a position
+        while stack:
+            pos, key, left = stack.pop()
+            if pos == stop:
+                yield key, left
+                continue
+            table = digits[pos]
+            stack.extend(  # the least symbol on top
+                (pos + 1, key + table[s], (*left[:s], left[s] - 1, *left[s + 1 :]))
+                for s in range(p - 1, -1, -1)
+                if left[s]
+            )
+
+    @cache
+    def tails(left):  # per left-over multiset, for the duration of one call
+        return [key for key, _ in fills(n // 2, n, left)]
 
     @cache
     def row(value):  # rows recur across matrices; decode each value once
@@ -239,7 +267,9 @@ def _word_tally(words: Iterable[Word], p: int, d: int) -> dict[tuple[tuple[int, 
             out.append(row(value))
         return tuple(out)
 
-    keys = Counter(sum(map(getitem, digits, word)) for word in words)
+    keys: Counter[int] = Counter()
+    for head, left in fills(0, n // 2, (d,) * p):
+        keys.update(map(head.__add__, tails(left)))
     return {rows(key): count for key, count in keys.items()}
 
 

@@ -5,6 +5,11 @@ stay independent of the library's own search and generation code.
 """
 
 import itertools
+from collections import Counter
+from functools import cache
+from operator import getitem
+
+from dmcensus.core import check_node_cap, total_configurations
 
 Rows = tuple  # tuple[tuple[int, ...], ...]
 
@@ -80,6 +85,39 @@ def brute_matrix_word_counts(p, d):
         key = brute_word_matrix(word, p, d)
         counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def word_tally(words, p, d):
+    """The oracle's tally, one word at a time: rows -> count, in order of first appearance.
+
+    Each word is summed to an integer key in base d + 1: a symbol s in block
+    j adds 1 to digit (s - 1) * p + j, the row-major position of entry
+    (s, j).  A block has d positions, so no entry exceeds d, even for a word
+    off the multiset, and every key decodes exactly, once per matrix, by
+    divmod into rows of p digits.  A symbol outside 1..p raises KeyError.
+    A (p, d) past the node cap or the count budget fails before any table
+    is built.
+    """
+    check_node_cap(p)
+    total_configurations(p, d)
+    base = d + 1
+    tables = [{s: base ** ((s - 1) * p + j) for s in range(1, p + 1)} for j in range(p)]
+    digits = [tables[pos // d] for pos in range(d * p)]
+    row_size = base**p
+
+    @cache
+    def row(value):
+        return tuple(value // base**j % base for j in range(p))
+
+    def rows(key):
+        out = []
+        for _ in range(p):
+            key, value = divmod(key, row_size)
+            out.append(row(value))
+        return tuple(out)
+
+    keys = Counter(sum(map(getitem, digits, word)) for word in words)
+    return {rows(key): count for key, count in keys.items()}
 
 
 def brute_regular_matrices(p, d):

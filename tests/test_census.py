@@ -37,7 +37,8 @@ from dmcensus import (
     word_to_matrix,
 )
 from dmcensus.canonical import clear_cache
-from dmcensus.census import _finish_report, _group_by_canonical
+from dmcensus.census import WORD_BUDGET, _check_word_budget, _finish_report, _group_by_canonical
+from oracles import word_tally
 
 
 def test_census_two_nodes(census_d2):
@@ -173,7 +174,7 @@ def test_oracle_checks_each_class_splits_its_words_evenly(monkeypatch):
     dropped = (1, 2, 1, 3, 2, 3)
     assert weight(word_to_matrix(dropped, 3, 2), 2) == 8
     words = [w for w in enumerate_words(3, 2) if w != dropped]
-    monkeypatch.setattr(dmcensus.census, "enumerate_words", lambda p, d: iter(words))
+    monkeypatch.setattr(dmcensus.census, "_word_tally", lambda p, d: word_tally(words, p, d))
     with pytest.raises(CensusInvariantError, match="23 words over 3 matrices"):
         oracle_census(3, 2)
 
@@ -211,10 +212,28 @@ def test_oracle_census_refuses_an_impossible_size():
         oracle_census(5, 20)
 
 
+@pytest.mark.parametrize(
+    "p, d, words",
+    [(7, 2, 681_080_400), (5, 3, 168_168_000), (4, 4, 63_063_000), (3, 6, 17_153_136),
+     (6, 3, 137_225_088_000)],
+)
+def test_oracle_refuses_too_many_words_up_front(monkeypatch, p, d, words):
+    assert total_configurations(p, d) == words > WORD_BUDGET
+    monkeypatch.setattr(dmcensus.census, "_word_tally", None)  # nothing is tallied
+    with pytest.raises(CountBudgetError, match=f"p={p}, d={d} has {words} words, above"):
+        oracle_census(p, d)
+
+
+@pytest.mark.parametrize("p, d", [(6, 2), (4, 3), (1, 10**6)])
+def test_word_budget_admits_sizes_within_it(p, d):
+    assert total_configurations(p, d) <= WORD_BUDGET
+    _check_word_budget(p, d)
+
+
 def test_one_node_oracle_memory_is_bounded():
-    # The word, its working list and the tally's d references to one shared
-    # block table take about 24 bytes a position (4.6 MiB traced at this d);
-    # a table per position would take 47 MiB.
+    # The tally's d references to one shared block table take 8 bytes a
+    # position (1.6 MiB traced at this d); a table per position would take
+    # 47 MiB.
     d = 2 * 10**5
     tracemalloc.start()
     try:
@@ -236,7 +255,7 @@ def test_one_node_oracle_memory_is_bounded():
 )
 def test_oracle_rejects_words_off_the_multiset(monkeypatch, replaced, error):
     words = [replaced.get(w, w) for w in enumerate_words(2, 2)]
-    monkeypatch.setattr(dmcensus.census, "enumerate_words", lambda p, d: iter(words))
+    monkeypatch.setattr(dmcensus.census, "_word_tally", lambda p, d: word_tally(words, p, d))
     with pytest.raises(CensusInvariantError, match=error):
         oracle_census(2, 2)
 

@@ -399,6 +399,29 @@ def test_count_budget_exits_3(capsys):
     assert "exceeds the exact-count budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["oracle", "-p", "7"], ["verify", "-p", "7"]])
+def test_word_budget_exits_3_before_any_output(monkeypatch, argv, capsys):
+    monkeypatch.setattr(dmcensus.cli, "build_census", None)  # refused before any census runs
+    monkeypatch.setattr(dmcensus.census, "_word_tally", None)
+    assert run_cli(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: oracle for p=7, d=2 has 681080400 words, above the budget of 10000000\n"
+
+
+def test_verify_refuses_an_over_budget_catalog_size_before_printing(tmp_path, capsys):
+    catalog = tmp_path / "seven.csv"
+    catalog.write_text(
+        "p,rank,cardinality,monomial,note\n"
+        "2,1,1,x11 x11 x22 x22,\n"
+        "7,1,1,x11 x11 x22 x22 x33 x33 x44 x44 x55 x55 x66 x66 x77 x77,\n"
+    )
+    assert run_cli(["verify", "--paper-data", str(catalog)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: oracle for p=7, d=2 has 681080400 words")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

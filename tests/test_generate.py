@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -21,7 +22,7 @@ from dmcensus import (
 )
 
 from dmcensus.generate import _canonical_rows, _word_tally
-from oracles import brute_regular_matrices, brute_word_matrix, brute_words
+from oracles import brute_regular_matrices, brute_word_matrix, brute_words, word_tally
 
 
 def test_single_node_matrix():
@@ -184,23 +185,52 @@ def test_word_to_matrix_rejects_malformed():
 
 @pytest.mark.parametrize("p,d", [(0, 2), (1, 5), (2, 3), (3, 2), (3, 3), (6, 1), (4, 2)])
 def test_word_tally_matches_brute_force(p, d):
-    got = _word_tally(enumerate_words(p, d), p, d)
+    got = _word_tally(p, d)
     expected = Counter(brute_word_matrix(w, p, d) for w in brute_words(p, d))
     assert got == expected
     assert list(got) == list(expected)  # keys in order of first appearance
 
 
-@pytest.mark.parametrize("symbol", [0, 3, -1])
-def test_word_tally_rejects_a_symbol_outside_the_nodes(symbol):
-    with pytest.raises(KeyError):
-        _word_tally([(1, 2, 1, 2), (1, symbol, 2, 2)], 2, 2)
+@pytest.mark.parametrize(
+    "p,d", [(0, 2), (1, 5), (2, 3), (3, 2), (3, 3), (6, 1), (4, 2), (5, 2), (2, 4)]
+)
+def test_word_tally_matches_the_per_word_tally(p, d):
+    got = _word_tally(p, d)
+    expected = word_tally(enumerate_words(p, d), p, d)
+    assert got == expected
+    assert list(got) == list(expected)  # the grouping meets each class's matrices in this order
 
 
-def test_word_tally_refuses_before_reading_a_word():
+def test_word_tally_refuses_before_building_a_table():
     with pytest.raises(NodeCapError):
-        _word_tally(iter(()), 11, 2)
+        _word_tally(11, 2)
     with pytest.raises(CountBudgetError):
-        _word_tally(iter(()), 5, 20)
+        _word_tally(5, 20)
+
+
+def test_word_tally_holds_no_list_of_words():
+    # 369,600 words and 2,008 matrices; a list of every word's key alone
+    # would take several MiB.
+    tracemalloc.start()
+    try:
+        _word_tally(4, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("symbol", [0, 3, -1])
+def test_per_word_tally_rejects_a_symbol_outside_the_nodes(symbol):
+    with pytest.raises(KeyError):
+        word_tally([(1, 2, 1, 2), (1, symbol, 2, 2)], 2, 2)
+
+
+def test_per_word_tally_refuses_before_reading_a_word():
+    with pytest.raises(NodeCapError):
+        word_tally(iter(()), 11, 2)
+    with pytest.raises(CountBudgetError):
+        word_tally(iter(()), 5, 20)
 
 
 @pytest.mark.parametrize("p", [0, 1, 2, 3, 4])
