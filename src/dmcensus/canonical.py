@@ -39,6 +39,18 @@ first[:L] and maps first[L] to w, or it is skipped as the image of a tried
 sibling under found generators that fix first[:L], and that sibling holds a
 minimal leaf too.
 
+The search starts from a greedy incumbent, not from the input
+(_greedy_leaf): at each position it places the unused node least by the
+optimistic completion, ties to the least node.  Branch and bound prunes only
+as well as its incumbent allows (McKay 1981), and a good first incumbent
+leaves fewer improving leaves and fewer branches to walk.  Only the starting
+incumbent changes.  The DFS still replaces it at a leaf strictly below it,
+sets `first` at the first leaf equal to it, takes generators only once
+`first` is set, and prunes by the bound only where the bound is strictly
+greater, which never removes a minimal leaf.  The arguments above hold for
+any starting incumbent no smaller than the canonical matrix, so the
+canonical matrix, |Aut| and the witness are those of a search from the input.
+
 The same walk is the prefix test of orderly generation
 (_is_canonical_prefix).  Given the top m rows of a p x p matrix, it tries
 the orderings of the m known nodes and puts the free nodes m..p-1 after
@@ -53,19 +65,26 @@ multiset of free columns, and composed with any ordering that map gives an
 ordering with the same block, which is all the orbit and backjump cuts
 need.
 
-Results are memoized per matrix in a bounded LRU cache.  A census searches
-one matrix per class, so the memo's hits come after the build: the record
-parsers and catalog verification search again canonical matrices that the
-build already searched.  A traced census-d2 bench round makes 628 calls on
-331 distinct inputs, and a cli round 710 on 330.  The search takes the rows
-of an already validated ArcMatrix, and the witness self-check on each memo
-miss compares plain row tuples, so no matrix is rebuilt or revalidated here.
+At m = p the walk that accepts a canonical matrix never improves its
+incumbent, the matrix itself, so it is the full search from that incumbent:
+its first leaf is the identity ordering, and its generators give |Aut| by
+the product above (_canonical_walk).  So orderly generation hands each
+class's CanonicalResult to the census, and no class is searched twice.
+
+Results are memoized per matrix in a bounded dict, oldest entry dropped
+first, and every entry passes the witness self-check as it is stored.  The
+census stores each class's result, so the record parsers and catalog
+verification, which call canonical_form on the canonical matrices the build
+just made, find them there.  A traced census-d2 bench round makes 505 calls
+on 339 distinct inputs, of which 216 run a search, and a cli round 332 on
+219.  The search takes the rows of an already validated ArcMatrix, and the
+self-check compares plain row tuples, so no matrix is rebuilt or
+revalidated here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .core import ArcMatrix, DimensionError, Permutation, check_node_cap
 
@@ -74,8 +93,8 @@ from .core import ArcMatrix, DimensionError, Permutation, check_node_cap
 # pays: a cold census-d2 bench round took 0.100-0.103 s scaled with it and
 # 0.118-0.125 s with a size of 0 (6 alternating pairs of 8 s runs, seed 3,
 # one pinned core of a 2-vCPU host).  The size is headroom for callers that
-# canonicalize many labeled matrices themselves; the LRU bound keeps memory
-# flat beyond it.
+# canonicalize many labeled matrices themselves; the bound keeps memory flat
+# beyond it.
 _MEMO_SIZE = 2**15
 
 
@@ -101,6 +120,29 @@ def _orbit_cells(gens: list[list[int]], fixed, p: int) -> list[int]:
     return cell
 
 
+def _greedy_leaf(rows: tuple[tuple[int, ...], ...]) -> list[int]:
+    """The relabeling, row-major, of the ordering that takes at each position
+    the unused node least by the optimistic completion, ties to the least node.
+
+    A node v at position k adds its column over the placed rows, then its row
+    over the placed nodes, its loop count and the rest of its row, the order
+    in which the optimistic completion of rows 0..k compares them: where two
+    candidates' columns agree, the placed rows keep equal tails.
+    """
+    order, unused = [], list(range(len(rows)))
+
+    def key(v):
+        row = rows[v]
+        return ([rows[a][v] for a in order], [row[a] for a in order], row[v],
+                sorted(row[u] for u in unused if u != v))
+
+    while unused:
+        v = min(unused, key=key)
+        order.append(v)
+        unused.remove(v)
+    return [rows[a][b] for a in order for b in order]
+
+
 def _least_block(rows: tuple[tuple[int, ...], ...], p: int, stop: bool):
     """Walk the orderings of the known nodes 0..m-1, m = len(rows) <= p.
 
@@ -108,10 +150,12 @@ def _least_block(rows: tuple[tuple[int, ...], ...], p: int, stop: bool):
     nodes m..p-1 after them in the order of their columns' vectors over the
     ordered rows, the least such block.  Returns (best, first, gens): the
     least m x p block found (row-major), its first leaf and the automorphisms
-    found.  With stop, returns None at the first block below rows instead.
+    found.  With stop, the incumbent is rows, and the walk returns None at
+    the first block below it instead; without stop (a full search, m = p),
+    the incumbent is the greedy leaf.
     """
     m = len(rows)
-    best = [x for row in rows for x in row]
+    best = [x for row in rows for x in row] if stop else _greedy_leaf(rows)
     first: tuple[int, ...] | None = None  # first leaf found that equals best
     gens: list[list[int]] = []  # automorphisms found, as node maps
     order: list[int] = []
@@ -184,9 +228,11 @@ def _least_block(rows: tuple[tuple[int, ...], ...], p: int, stop: bool):
     return None if dfs() < 0 else (best, first, gens)
 
 
-def _search(rows: tuple[tuple[int, ...], ...]):
+def _result(rows: tuple[tuple[int, ...], ...], best, first, gens) -> CanonicalResult:
+    """The CanonicalResult of a whole-matrix walk: the least block, |Aut| as
+    the orbit-stabilizer product over the levels of `first`, and the witness
+    that carries rows onto the least block."""
     p = len(rows)
-    best, first, gens = _least_block(rows, p, stop=False)
     aut_order = 1
     if gens:
         for level, v in enumerate(first):
@@ -196,11 +242,11 @@ def _search(rows: tuple[tuple[int, ...], ...]):
     images = [0] * p
     for position, v in enumerate(first):
         images[v] = position
-    return canon, aut_order, tuple(images)
+    return CanonicalResult(ArcMatrix(canon), aut_order, Permutation(tuple(images)))
 
 
-def _is_canonical_prefix(rows: tuple[tuple[int, ...], ...], p: int) -> bool:
-    """False when no matrix with these top rows can be its own canonical form.
+def _accepting_walk(rows: tuple[tuple[int, ...], ...], p: int):
+    """The walk of the prefix test, (best, first, gens), when it accepts rows, else None.
 
     Some relabeling of every completion starts with a block below rows when
     an ordering of the known nodes 0..m-1 gives one; at m = p this is the full
@@ -213,22 +259,42 @@ def _is_canonical_prefix(rows: tuple[tuple[int, ...], ...], p: int) -> bool:
     m = len(rows)
     free = list(zip(*[row[m:] for row in rows]))
     if any(a > b for a, b in zip(free, free[1:])):
-        return False
-    top = list(rows[0])
+        return None
     for v, row in enumerate(rows):
-        if [row[v], *sorted(row[:v] + row[v + 1 : m]), *sorted(row[m:])] < top:
-            return False
-    return _least_block(rows, p, stop=True) is not None
+        if (row[v], *sorted(row[:v] + row[v + 1 : m]), *sorted(row[m:])) < rows[0]:
+            return None
+    return _least_block(rows, p, stop=True)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _canonical_cached(rows: tuple[tuple[int, ...], ...]) -> CanonicalResult:
-    canon_rows, aut_order, images = _search(rows)
-    result = CanonicalResult(ArcMatrix(canon_rows), aut_order, Permutation(images))
+def _is_canonical_prefix(rows: tuple[tuple[int, ...], ...], p: int) -> bool:
+    """False when no matrix with these top rows can be its own canonical form."""
+    return _accepting_walk(rows, p) is not None
+
+
+def _canonical_walk(rows: tuple[tuple[int, ...], ...]) -> CanonicalResult | None:
+    """The CanonicalResult of a whole matrix that is its own canonical form,
+    from the canonicity test's one accepting walk; None for any other matrix.
+
+    The accepting walk never improves its incumbent, rows, so its first leaf
+    is the identity ordering, and its generators give |Aut| as in a search.
+    """
+    walk = _accepting_walk(rows, len(rows))
+    return None if walk is None else _result(rows, *walk)
+
+
+# rows -> CanonicalResult, oldest first, at most _MEMO_SIZE entries
+_memo: dict[tuple[tuple[int, ...], ...], CanonicalResult] = {}
+
+
+def _remember(rows: tuple[tuple[int, ...], ...], result: CanonicalResult) -> None:
+    """Memoize the result for rows, dropping the oldest entry when the memo is full."""
+    canon, images = result.canonical.entries, result.witness.images
     # The witness carries rows onto the canonical form: canon[w(i)][w(j)] == rows[i][j].
-    assert all(canon_rows[images[i]][images[j]] == x
+    assert all(canon[images[i]][images[j]] == x
                for i, row in enumerate(rows) for j, x in enumerate(row))
-    return result
+    if rows not in _memo and len(_memo) >= _MEMO_SIZE:
+        del _memo[next(iter(_memo))]
+    _memo[rows] = result
 
 
 def canonical_form(matrix: ArcMatrix) -> CanonicalResult:
@@ -238,7 +304,12 @@ def canonical_form(matrix: ArcMatrix) -> CanonicalResult:
     give the same canonical matrix and aut_order.
     """
     check_node_cap(matrix.p)
-    return _canonical_cached(matrix.entries)
+    rows = matrix.entries
+    result = _memo.get(rows)
+    if result is None:
+        result = _result(rows, *_least_block(rows, len(rows), stop=False))
+        _remember(rows, result)
+    return result
 
 
 def are_isomorphic(a: ArcMatrix, b: ArcMatrix) -> bool:
@@ -255,4 +326,4 @@ def automorphism_order(matrix: ArcMatrix) -> int:
 
 def clear_cache() -> None:
     """Drop memoized canonical forms (useful for benchmarking from cold)."""
-    _canonical_cached.cache_clear()
+    _memo.clear()

@@ -4,8 +4,9 @@ Two independent routes produce the census for (p, d).
 
 * build_census takes each class's canonical matrix once, in rank order,
   from the orderly generator generate._canonical_rows, which lists no
-  labeled matrix.  Each must be its own canonical_form, which gives |Aut|,
-  and the class cardinality is computed analytically as
+  labeled matrix, together with the CanonicalResult of the walk that
+  accepted it.  That result must be the matrix itself, and gives |Aut|, and
+  the class cardinality is computed analytically as
   (p!/|Aut|) * weight(canonical).  The sum of p!/|Aut| over its classes
   must equal count_regular_matrices, and the number of classes class_count,
   two exact counts made without the generator.  The class count is made
@@ -21,10 +22,11 @@ Two independent routes produce the census for (p, d).
   canonical matrix is the least relabeling, and len(orbit) * |Aut| == p!),
   no labeled matrix may arrive twice, and every listed relabeling must
   arrive, so each class holds p!/|Aut| labeled matrices (orbit-stabilizer).
-  An oracle of more than WORD_BUDGET words is refused before any is counted.
+  An oracle of more than WORD_BUDGET words, or whose orbit sweep would list
+  more than ORBIT_BUDGET relabelings, is refused before any word is counted.
 
-Neither route validates a labeled matrix.  build_census makes one ArcMatrix
-per generated canonical matrix, and the grouping one per class, from the
+Neither route validates a labeled matrix.  The generator makes one ArcMatrix
+per canonical matrix, and the grouping one per class, from the
 rows of the matrix it searches.  The oracle counts every word under an
 integer key of its matrix, unchecked, without listing the words: each key
 is a head key plus a tail key, and the tail keys are built once per
@@ -35,8 +37,8 @@ matrix, so its class fails this check (or the orbit-stabilizer one).
 
 A CensusEntry stores its ClassId, canonical matrix and |Aut|; every other
 count is derived.  compare_census cross-checks the two routes: the oracle
-passes the orbit-stabilizer check and both routes take |Aut| from
-canonical_form, so equal cardinalities pin each class's word count to
+passes the orbit-stabilizer check and both routes take |Aut| from the
+canonical walk, so equal cardinalities pin each class's word count to
 (p!/|Aut|) * weight.  verify_against_catalog checks a census against the
 bundled reference catalog.
 """
@@ -51,7 +53,7 @@ from importlib import resources
 from itertools import chain, permutations
 from pathlib import Path
 
-from .canonical import canonical_form
+from .canonical import CanonicalResult, _remember, canonical_form
 from .core import (
     ArcMatrix,
     ClassId,
@@ -212,10 +214,10 @@ def _finish_report(p: int, d: int, classes: dict[ArcMatrix, tuple[int, int]]) ->
 # anything is generated.  Orderly generation costs about one prefix test per
 # row tried, so time follows the classes and the prefixes rejected around
 # them.  The budget is set from the sizes it admits, all timed on one core
-# of a 2-vCPU host: the slowest are (10,1), 42 classes in 9-10 s of CPU,
-# (7,2), 2,183 classes in 4-5 s, and (4,6), 5,822 classes in 1.3 s.  The
-# nearest class counts above it are 15,129 at (8,2), 16,389 at (4,7),
-# 19,158 at (5,4) and 30,335 at (6,3).
+# of a 2-vCPU host: the slowest are (10,1), 42 classes in 5.3-5.9 s of
+# CPU, (7,2), 2,183 classes in 3.6-4.1 s, and (4,6), 5,822 classes in
+# 0.9-1.0 s.  The nearest class counts above it are 15,129 at (8,2), 16,389
+# at (4,7), 19,158 at (5,4) and 30,335 at (6,3).
 CLASS_BUDGET = 10_000
 
 
@@ -223,13 +225,18 @@ def build_census(p: int, d: int) -> CensusReport:
     """Census from the canonical matrices alone, with analytic cardinalities.
 
     generate._canonical_rows yields each class's canonical matrix once, in
-    rank order, without listing the labeled matrices.  Each one must be its
-    own canonical_form, which gives |Aut|; the class has p!/|Aut| labeled
-    matrices and cardinality (p!/|Aut|) * weight.  The labeled matrices over
-    all classes must number count_regular_matrices, and the classes
-    class_count, two exact counts made without the generator, so a class it
-    misses is caught.  The class count is made first, and a census of more
-    than CLASS_BUDGET classes is refused with CountBudgetError.
+    rank order, without listing the labeled matrices, and with the
+    CanonicalResult of the one walk that accepted it; the build searches no
+    matrix again.  The walk's least block must be the matrix itself, and
+    its |Aut| gives the class p!/|Aut| labeled matrices and cardinality
+    (p!/|Aut|) * weight.  The labeled matrices over all classes must number
+    count_regular_matrices, and the classes class_count, two exact counts
+    made without the generator, so a class it misses and an |Aut| it gets
+    wrong are caught.  Once every check holds, each class's result goes
+    into the canonical_form memo, where the parsers and catalog
+    verification look the canonical matrices up.  The class count is made
+    first, and a census of more than CLASS_BUDGET classes is refused with
+    CountBudgetError.
     """
     expected_classes = class_count(p, d)
     if expected_classes > CLASS_BUDGET:
@@ -237,16 +244,15 @@ def build_census(p: int, d: int) -> CensusReport:
             f"census for p={p}, d={d} has {expected_classes} classes, "
             f"above the budget of {CLASS_BUDGET}"
         )
-    classes: dict[ArcMatrix, int] = {}  # canonical -> aut_order
-    for rows in _canonical_rows(p, d):
-        matrix = ArcMatrix(rows)
-        result = canonical_form(matrix)
-        if result.canonical != matrix:
+    classes: dict[ArcMatrix, CanonicalResult] = {}
+    for rows, result in _canonical_rows(p, d):
+        if result.canonical.entries != rows:
             raise CensusInvariantError(
-                f"generated matrix {matrix} is not canonical; its class has {result.canonical}"
+                f"generated matrix {ArcMatrix(rows)} is not canonical; "
+                f"its class has {result.canonical}"
             )
-        classes[matrix] = result.aut_order
-    labeled_total = sum(math.factorial(p) // aut for aut in classes.values())
+        classes[result.canonical] = result
+    labeled_total = sum(math.factorial(p) // r.aut_order for r in classes.values())
     expected = count_regular_matrices(p, d)
     if labeled_total != expected:
         raise CensusInvariantError(
@@ -257,9 +263,11 @@ def build_census(p: int, d: int) -> CensusReport:
         raise CensusInvariantError(
             f"census for p={p}, d={d} has {len(classes)} classes, expected {expected_classes}"
         )
+    for canon, result in classes.items():  # the parsers and verification look them up
+        _remember(canon.entries, result)
     cardinalities = {
-        canon: (aut, math.factorial(p) // aut * weight(canon, d))
-        for canon, aut in classes.items()
+        canon: (r.aut_order, math.factorial(p) // r.aut_order * weight(canon, d))
+        for canon, r in classes.items()
     }
     return _finish_report(p, d, cardinalities)
 
@@ -273,14 +281,32 @@ def build_census(p: int, d: int) -> CensusReport:
 # 681,080,400 at (7,2).
 WORD_BUDGET = 10**7
 
+# The most relabelings the oracle's orbit sweep lists, p! for each of the
+# class_count classes; a larger oracle is refused before anything is
+# enumerated.  The sweep's time follows the relabelings, timed on one core
+# of a 2-vCPU host: the whole oracle takes 5-6 s of CPU at (8,1), 887,040
+# relabelings, and 4-5 s at (6,2), 285,840.  The word budget admits two
+# sizes above it: (9,1), 10,886,400 relabelings, about 90 s (one p = 9
+# orbit takes 3 s), and (10,1), 152,409,600.
+ORBIT_BUDGET = 10**6
 
-def _check_word_budget(p: int, d: int) -> None:
-    """Refuse, with CountBudgetError, an oracle of more than WORD_BUDGET words."""
+
+def _check_oracle_budget(p: int, d: int) -> None:
+    """Refuse, with CountBudgetError, an oracle of more than WORD_BUDGET words
+    or one whose orbit sweep lists more than ORBIT_BUDGET relabelings."""
     check_node_cap(p)
     words = total_configurations(p, d)
     if words > WORD_BUDGET:
         raise CountBudgetError(
             f"oracle for p={p}, d={d} has {words} words, above the budget of {WORD_BUDGET}"
+        )
+    if words * math.factorial(p) <= ORBIT_BUDGET:  # no more classes than words
+        return
+    relabelings = class_count(p, d) * math.factorial(p)
+    if relabelings > ORBIT_BUDGET:
+        raise CountBudgetError(
+            f"oracle for p={p}, d={d} lists {relabelings} relabelings, "
+            f"above the budget of {ORBIT_BUDGET}"
         )
 
 
@@ -289,10 +315,11 @@ def oracle_census(p: int, d: int) -> CensusReport:
 
     The grouping checks that every class got all its labeled matrices, and
     each class's words must split evenly over them.  An oracle of more than
-    WORD_BUDGET words is refused with CountBudgetError before any word is
-    counted.
+    WORD_BUDGET words, or of more than ORBIT_BUDGET relabelings in the
+    grouping's orbit sweep, is refused with CountBudgetError before any word
+    is counted.
     """
-    _check_word_budget(p, d)
+    _check_oracle_budget(p, d)
     classes = _group_by_canonical(_word_tally(p, d).items())
     for canon, (aut_order, words) in classes.items():
         labeled = math.factorial(p) // aut_order

@@ -18,7 +18,7 @@ from .census import (
     Catalog,
     CensusEntry,
     CensusReport,
-    _check_word_budget,
+    _check_oracle_budget,
     build_census,
     class_lookup,
     compare_census,
@@ -291,7 +291,7 @@ def _cmd_verify(args) -> int:
     catalog = load_catalog(args.paper_data)
     node_counts = [args.p] if args.p is not None else list(catalog.node_counts())
     for p in node_counts:
-        _check_word_budget(p, 2)
+        _check_oracle_budget(p, 2)
     all_ok = True
     records = matched = corrected = 0
     for p in node_counts:

@@ -34,7 +34,8 @@ class NodeCapError(ResourceLimitError):
 class CountBudgetError(ResourceLimitError):
     """An exact count would not fit the 64-bit interop budget, a census
     would have more classes than census.CLASS_BUDGET, or an oracle more
-    words than census.WORD_BUDGET."""
+    words than census.WORD_BUDGET or more relabelings to list than
+    census.ORBIT_BUDGET."""
 
 
 class DimensionError(ValueError):

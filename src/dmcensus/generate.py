@@ -5,9 +5,10 @@ configuration words, are demand-driven, duplicate-free, and emitted in
 ascending lexicographic order so that downstream output is byte-stable
 across runs.  The two matrix streams share one row fill, _regular_rows:
 enumerate_regular_matrices keeps every row that fits, and _canonical_rows
-keeps only the row prefixes that can still start a canonical matrix
-(orderly generation: Read 1978; Faradzev 1978; the prefix test is
-canonical._is_canonical_prefix), so it yields each class's canonical matrix
+keeps only the row prefixes that can still start a canonical matrix and
+the whole matrices that are canonical (orderly generation: Read 1978;
+Faradzev 1978; the tests are canonical._is_canonical_prefix and
+canonical._canonical_walk), so it yields each class's canonical matrix
 once, in rank order, and never lists the labeled matrices.  Two exact
 counts share one DP, _fixed_matrices, which counts the matrices a
 relabeling of a given cycle type fixes, and neither shares code with the
@@ -19,13 +20,13 @@ against both.
 This is where generated matrices enter the package and are validated:
 enumerate_regular_matrices yields ArcMatrix objects, and word_to_matrix
 checks that its word is an arrangement of 1^d ... p^d.  The census reads
-_canonical_rows as plain row tuples and makes an ArcMatrix of each, one per
-class.  The word oracle in census does not list the words at all:
-_word_tally builds each word's integer key from a head key, over the first
-half of the positions, and a tail key from a table built once per multiset
-of symbols the head leaves, counts every word under its key and decodes
-each distinct key once, to plain row tuples without that check; the oracle
-checks regularity once per class instead.  enumerate_words, the words one
+_canonical_rows as plain row tuples, each with the CanonicalResult, and so
+the one ArcMatrix, of the walk that accepted it.  The word oracle in census
+does not list the words at all: _word_tally builds each word's integer key
+from a head key, over the first half of the positions, and a tail key from
+a table built once per multiset of symbols the head leaves, counts every
+word under its key and decodes each distinct key once, to plain row tuples
+without that check; the oracle checks regularity once per class instead.  enumerate_words, the words one
 by one, is the reference the tally is tested against.
 """
 
@@ -38,7 +39,7 @@ from itertools import product
 from math import comb, factorial, gcd
 from operator import le
 
-from .canonical import _is_canonical_prefix
+from .canonical import CanonicalResult, _canonical_walk, _is_canonical_prefix
 from .core import ArcMatrix, check_node_cap, total_configurations
 
 # A configuration word is a length d*p tuple over node names 1..p in which
@@ -50,14 +51,14 @@ Word = tuple[int, ...]
 def _regular_rows(
     p: int, d: int, keep: Callable[[tuple[tuple[int, ...], ...]], bool]
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """The d-regular p x p matrices, as plain row tuples, that keep lets through.
+    """The d-regular p x p matrices, as plain row tuples, whose prefixes keep passes.
 
     Rows are filled top-down from one ascending table of the rows that sum to
     d, keeping a row only where it fits under the remaining column deficits
     and keep(rows so far) holds; the last row is forced by those deficits.
-    keep sees every prefix of fewer than p - 1 rows and each whole matrix,
-    not a prefix of p - 1 rows: that has one completion.  Output is
-    ascending in row-major order.
+    keep sees every prefix of fewer than p - 1 rows, not a prefix of p - 1
+    rows, which has one completion, nor a whole matrix.  Output is ascending
+    in row-major order.
     """
     check_node_cap(p)
     total_configurations(p, d)
@@ -74,8 +75,8 @@ def _regular_rows(
                 if len(rows_next) < p - 1:
                     if keep(rows_next):
                         yield from fill(rows_next, left)
-                elif keep(matrix := (*rows_next, tuple(left))):
-                    yield matrix
+                else:
+                    yield (*rows_next, tuple(left))
 
     yield from fill((), [d] * p)
 
@@ -95,15 +96,20 @@ def enumerate_regular_matrices(p: int, d: int) -> Iterator[ArcMatrix]:
     return map(ArcMatrix, _regular_rows(p, d, lambda rows: True))
 
 
-def _canonical_rows(p: int, d: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """The canonical d-regular p x p matrices, one per class, ascending.
+def _canonical_rows(p: int, d: int) -> Iterator[tuple[tuple[int, ...], CanonicalResult]]:
+    """The canonical d-regular p x p matrices, one per class, ascending, each
+    with its CanonicalResult.
 
     A prefix that no canonical matrix starts with is dropped with all its
     completions, and a whole matrix passes only if it is canonical, so each
-    class's lex-min matrix comes out once, and in rank order.  The
-    refusals of enumerate_regular_matrices apply.
+    class's lex-min matrix comes out once, and in rank order.  The walk that
+    accepts a whole matrix also gives its result: the matrix itself, |Aut|
+    and the identity witness, so no class is searched again.  The refusals
+    of enumerate_regular_matrices apply.
     """
-    return _regular_rows(p, d, lambda rows: _is_canonical_prefix(rows, p))
+    for rows in _regular_rows(p, d, lambda rows: _is_canonical_prefix(rows, p)):
+        if (result := _canonical_walk(rows)) is not None:
+            yield rows, result
 
 
 def _fixed_matrices(lengths: tuple[int, ...], d: int) -> int:

@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,15 @@ from dmcensus import (
     canonical_form,
     enumerate_regular_matrices,
 )
-from dmcensus.canonical import _MEMO_SIZE, _canonical_cached, _is_canonical_prefix, clear_cache
+import dmcensus.canonical
+from dmcensus.canonical import (
+    _MEMO_SIZE,
+    _greedy_leaf,
+    _is_canonical_prefix,
+    _memo,
+    clear_cache,
+)
+from dmcensus.generate import _canonical_rows
 
 from oracles import (
     brute_aut_order,
@@ -90,6 +99,25 @@ def test_prefix_test_agrees_with_brute_force(p, d):
     # at m = p the prefix test is the full canonicity test
     for m in enumerate_regular_matrices(p, d):
         assert _is_canonical_prefix(m.entries, p) == (canonical_form(m).canonical == m)
+
+
+@pytest.mark.parametrize("p, d", [(5, 2), (6, 1), (7, 1)])
+def test_search_from_a_greedy_incumbent_agrees_with_brute_force(p, d):
+    # a seeded relabeling of every class; the search starts from its greedy
+    # leaf, not from the input
+    rng = random.Random(p * 10 + d)
+    inputs = [apply_permutation(ArcMatrix(rows), random_permutation(rng, p))
+              for rows, _ in _canonical_rows(p, d)]
+    inputs = [m for m in inputs if _greedy_leaf(m.entries) != list(chain(*m.entries))]
+    assert len(inputs) >= {(5, 2): 80, (6, 1): 10, (7, 1): 14}[p, d]
+    for m in inputs:
+        result = canonical_form(m)
+        assert result.canonical.entries == brute_canonical(m.entries)
+        assert result.aut_order == brute_aut_order(m.entries)
+        images = [0] * p
+        for position, v in enumerate(brute_witness(m.entries)):
+            images[v] = position
+        assert result.witness.images == tuple(images)
 
 
 def test_sampled_agreement_with_brute_force_p5():
@@ -244,9 +272,15 @@ def test_permutation_matrices_have_centralizer_automorphisms():
     assert len(classes) == 11
 
 
-def test_memo_is_bounded():
-    info = _canonical_cached.cache_info()
-    assert info.maxsize == _MEMO_SIZE
+def test_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(dmcensus.canonical, "_MEMO_SIZE", 8)
+    clear_cache()
+    matrices = list(enumerate_regular_matrices(4, 1))
+    for m in matrices:
+        canonical_form(m)
+    # the memo holds the 8 latest inputs, and no more
+    assert list(_memo) == [m.entries for m in matrices[-8:]]
+    clear_cache()
     # every distinct input of a d=2, p<=5 census fits without eviction
     assert _MEMO_SIZE >= sum(1 for p in range(6) for _ in enumerate_regular_matrices(p, 2))
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dmcensus.canonical
 import dmcensus.census
 from dmcensus import (
     ArcMatrix,
@@ -36,8 +37,16 @@ from dmcensus import (
     weight,
     word_to_matrix,
 )
-from dmcensus.canonical import clear_cache
-from dmcensus.census import WORD_BUDGET, _check_word_budget, _finish_report, _group_by_canonical
+import dmcensus.generate
+from dmcensus.canonical import _canonical_walk, _memo, clear_cache
+from dmcensus.census import (
+    ORBIT_BUDGET,
+    WORD_BUDGET,
+    _check_oracle_budget,
+    _finish_report,
+    _group_by_canonical,
+)
+from dmcensus.generate import _canonical_rows
 from oracles import word_tally
 
 
@@ -109,9 +118,13 @@ def test_grouping_checks_each_search_against_its_orbit(monkeypatch, change, erro
     ids=["non-minimal canonical", "wrong aut_order"],
 )
 def test_build_census_checks_each_search_of_a_generated_matrix(monkeypatch, change, error):
-    monkeypatch.setattr(dmcensus.census, "canonical_form", lambda m: change(canonical_form(m)))
+    # the fault is in the generator's accepting walk, which build_census reads
+    monkeypatch.setattr(dmcensus.census, "_canonical_rows",
+                        lambda p, d: ((rows, change(r)) for rows, r in _canonical_rows(p, d)))
+    clear_cache()
     with pytest.raises(CensusInvariantError, match=error):
         build_census(3, 2)
+    assert not _memo  # a census that fails a check memoizes nothing
 
 
 @pytest.mark.parametrize(
@@ -119,16 +132,38 @@ def test_build_census_checks_each_search_of_a_generated_matrix(monkeypatch, chan
     [(build_census, 5, 2, 85), (oracle_census, 4, 3, 118), (build_census, 6, 1, 11)],
 )
 def test_one_canonical_search_per_class(monkeypatch, build, p, d, classes):
-    searched = []
+    searched, accepted = [], []
     monkeypatch.setattr(
         dmcensus.census, "canonical_form", lambda m: searched.append(m) or canonical_form(m)
     )
+
+    def walk(rows):
+        result = _canonical_walk(rows)
+        if result is not None:
+            accepted.append(result.canonical)
+        return result
+
+    monkeypatch.setattr(dmcensus.generate, "_canonical_walk", walk)
     clear_cache()
     report = build(p, d)
-    assert len(report.entries) == len(searched) == classes
     if build is build_census:
-        # the orderly generator yields each canonical matrix once, in rank order
-        assert searched == [entry.canonical for entry in report.entries]
+        # one accepting walk per class, in rank order, gives every |Aut|
+        assert searched == []
+        assert len(report.entries) == len(accepted) == classes
+        assert accepted == [entry.canonical for entry in report.entries]
+    else:
+        assert len(report.entries) == len(searched) == classes
+
+
+def test_build_census_leaves_each_class_in_the_memo(monkeypatch):
+    clear_cache()
+    report = build_census(5, 2)
+    assert list(_memo) == [entry.canonical.entries for entry in report.entries]
+    monkeypatch.setattr(dmcensus.canonical, "_least_block", None)  # no search runs
+    warm = [canonical_form(entry.canonical) for entry in report.entries]
+    monkeypatch.undo()
+    clear_cache()
+    assert warm == [canonical_form(entry.canonical) for entry in report.entries]
 
 
 @pytest.mark.parametrize("d", [300, 10**6])
@@ -142,8 +177,7 @@ def test_build_census_checks_the_exact_labeled_count(monkeypatch):
     # 2*I_3 is a class of one labeled matrix; without it every other check
     # that runs before the total still holds
     doubled = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
-    stream = [e.canonical.entries for e in build_census(3, 2).entries
-              if e.canonical.entries != doubled]
+    stream = [(rows, result) for rows, result in _canonical_rows(3, 2) if rows != doubled]
     monkeypatch.setattr(dmcensus.census, "_canonical_rows", lambda p, d: iter(stream))
     with pytest.raises(CensusInvariantError, match="holds 20 labeled matrices, expected 21"):
         build_census(3, 2)
@@ -227,7 +261,26 @@ def test_oracle_refuses_too_many_words_up_front(monkeypatch, p, d, words):
 @pytest.mark.parametrize("p, d", [(6, 2), (4, 3), (1, 10**6)])
 def test_word_budget_admits_sizes_within_it(p, d):
     assert total_configurations(p, d) <= WORD_BUDGET
-    _check_word_budget(p, d)
+    _check_oracle_budget(p, d)
+
+
+@pytest.mark.parametrize("p, d, relabelings", [(9, 1, 10_886_400), (10, 1, 152_409_600)])
+def test_oracle_refuses_too_many_relabelings_up_front(monkeypatch, p, d, relabelings):
+    # within the word budget, but the orbit sweep would list p! per class
+    assert total_configurations(p, d) <= WORD_BUDGET < relabelings
+    assert class_count(p, d) * math.factorial(p) == relabelings > ORBIT_BUDGET
+    monkeypatch.setattr(dmcensus.census, "_word_tally", None)  # nothing is tallied
+    monkeypatch.setattr(dmcensus.census, "_group_by_canonical", None)  # nor grouped
+    with pytest.raises(CountBudgetError,
+                       match=f"p={p}, d={d} lists {relabelings} relabelings, above"):
+        oracle_census(p, d)
+
+
+@pytest.mark.parametrize("p, d, relabelings",
+                         [(6, 2, 285_840), (5, 2, 10_200), (4, 3, 2_832), (8, 1, 887_040)])
+def test_orbit_budget_admits_sizes_within_it(p, d, relabelings):
+    assert class_count(p, d) * math.factorial(p) == relabelings <= ORBIT_BUDGET
+    _check_oracle_budget(p, d)
 
 
 def test_one_node_oracle_memory_is_bounded():

@@ -409,6 +409,26 @@ def test_word_budget_exits_3_before_any_output(monkeypatch, argv, capsys):
     assert err == "error: oracle for p=7, d=2 has 681080400 words, above the budget of 10000000\n"
 
 
+def test_orbit_budget_exits_3_before_any_output(monkeypatch, capsys):
+    monkeypatch.setattr(dmcensus.census, "_word_tally", None)  # refused before any tally
+    assert run_cli(["oracle", "-p", "9", "-d", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: oracle for p=9, d=1 lists 10886400 relabelings, "
+                   "above the budget of 1000000\n")
+
+
+def test_verify_checks_the_orbit_budget_before_any_output(monkeypatch, capsys):
+    # at d = 2 the word budget refuses first, so lower the orbit budget below (5,2)'s
+    monkeypatch.setattr(dmcensus.census, "ORBIT_BUDGET", 10_000)
+    monkeypatch.setattr(dmcensus.cli, "build_census", None)  # refused before any census runs
+    assert run_cli(["verify", "-p", "5"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: oracle for p=5, d=2 lists 10200 relabelings, "
+                   "above the budget of 10000\n")
+
+
 def test_verify_refuses_an_over_budget_catalog_size_before_printing(tmp_path, capsys):
     catalog = tmp_path / "seven.csv"
     catalog.write_text(

@@ -10,6 +10,7 @@ from dmcensus import (
     ArcMatrix,
     CountBudgetError,
     NodeCapError,
+    Permutation,
     canonical_form,
     class_count,
     count_regular_matrices,
@@ -21,6 +22,7 @@ from dmcensus import (
     word_to_matrix,
 )
 
+from dmcensus.canonical import clear_cache
 from dmcensus.generate import _canonical_rows, _word_tally
 from oracles import brute_regular_matrices, brute_word_matrix, brute_words, word_tally
 
@@ -125,7 +127,14 @@ def test_matrix_stream_sorted_unique_regular():
 def test_orderly_generation_yields_the_sorted_canonical_forms(p, d):
     # the labeled stream, grouped by canonical form, is the reference
     expected = sorted({canonical_form(m).canonical.entries for m in enumerate_regular_matrices(p, d)})
-    assert list(_canonical_rows(p, d)) == expected
+    generated = list(_canonical_rows(p, d))
+    assert [rows for rows, _ in generated] == expected
+    # each accepting walk gives what a cold search gives: the matrix itself,
+    # |Aut| and the identity witness
+    clear_cache()
+    searched = [canonical_form(ArcMatrix(rows)) for rows in expected]
+    assert [result for _, result in generated] == searched
+    assert all(r.witness == Permutation.identity(p) for r in searched)
 
 
 def test_matrix_generator_validation():
