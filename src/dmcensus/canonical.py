@@ -52,7 +52,7 @@ any starting incumbent no smaller than the canonical matrix, so the
 canonical matrix, |Aut| and the witness are those of a search from the input.
 
 The same walk is the prefix test of orderly generation
-(_is_canonical_prefix).  Given the top m rows of a p x p matrix, it tries
+(_accepting_walk).  Given the top m rows of a p x p matrix, it tries
 the orderings of the m known nodes and puts the free nodes m..p-1 after
 them, sorted by their columns' vectors over the ordered rows, which is the
 least arrangement of those columns.  A block below the given rows is the
@@ -68,7 +68,7 @@ need.
 At m = p the walk that accepts a canonical matrix never improves its
 incumbent, the matrix itself, so it is the full search from that incumbent:
 its first leaf is the identity ordering, and its generators give |Aut| by
-the product above (_canonical_walk).  So orderly generation hands each
+the product above (_result).  So orderly generation hands each
 class's CanonicalResult to the census, and no class is searched twice.
 
 Results are memoized per matrix in a bounded dict, oldest entry dropped
@@ -86,7 +86,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ArcMatrix, DimensionError, Permutation, check_node_cap
+from .core import ArcMatrix, CensusInvariantError, Permutation, check_node_cap
 
 # Memo capacity.  Measured traffic is a few hundred distinct inputs per job
 # (see above).  With the census built by orderly generation the memo still
@@ -225,7 +225,9 @@ def _least_block(rows: tuple[tuple[int, ...], ...], p: int, stop: bool):
                 return level
         return p
 
-    return None if dfs() < 0 else (best, first, gens)
+    stopped = dfs() < 0
+    del dfs  # dfs refers to itself through its cell; break that cycle
+    return None if stopped else (best, first, gens)
 
 
 def _result(rows: tuple[tuple[int, ...], ...], best, first, gens) -> CanonicalResult:
@@ -266,32 +268,23 @@ def _accepting_walk(rows: tuple[tuple[int, ...], ...], p: int):
     return _least_block(rows, p, stop=True)
 
 
-def _is_canonical_prefix(rows: tuple[tuple[int, ...], ...], p: int) -> bool:
-    """False when no matrix with these top rows can be its own canonical form."""
-    return _accepting_walk(rows, p) is not None
-
-
-def _canonical_walk(rows: tuple[tuple[int, ...], ...]) -> CanonicalResult | None:
-    """The CanonicalResult of a whole matrix that is its own canonical form,
-    from the canonicity test's one accepting walk; None for any other matrix.
-
-    The accepting walk never improves its incumbent, rows, so its first leaf
-    is the identity ordering, and its generators give |Aut| as in a search.
-    """
-    walk = _accepting_walk(rows, len(rows))
-    return None if walk is None else _result(rows, *walk)
-
-
 # rows -> CanonicalResult, oldest first, at most _MEMO_SIZE entries
 _memo: dict[tuple[tuple[int, ...], ...], CanonicalResult] = {}
 
 
 def _remember(rows: tuple[tuple[int, ...], ...], result: CanonicalResult) -> None:
-    """Memoize the result for rows, dropping the oldest entry when the memo is full."""
+    """Memoize the result for rows, dropping the oldest entry when the memo is full.
+
+    The witness must carry rows onto the canonical form, canon[w(i)][w(j)] ==
+    rows[i][j]; a result that fails this raises CensusInvariantError and is
+    not stored.
+    """
     canon, images = result.canonical.entries, result.witness.images
-    # The witness carries rows onto the canonical form: canon[w(i)][w(j)] == rows[i][j].
-    assert all(canon[images[i]][images[j]] == x
-               for i, row in enumerate(rows) for j, x in enumerate(row))
+    if any(canon[images[i]][images[j]] != x
+           for i, row in enumerate(rows) for j, x in enumerate(row)):
+        raise CensusInvariantError(
+            f"witness {images} does not carry {ArcMatrix(rows)} onto {result.canonical}"
+        )
     if rows not in _memo and len(_memo) >= _MEMO_SIZE:
         del _memo[next(iter(_memo))]
     _memo[rows] = result
@@ -310,18 +303,6 @@ def canonical_form(matrix: ArcMatrix) -> CanonicalResult:
         result = _result(rows, *_least_block(rows, len(rows), stop=False))
         _remember(rows, result)
     return result
-
-
-def are_isomorphic(a: ArcMatrix, b: ArcMatrix) -> bool:
-    """True iff some relabeling carries a onto b."""
-    if a.p != b.p:
-        raise DimensionError(f"cannot compare {a.p}-node and {b.p}-node matrices")
-    return canonical_form(a).canonical == canonical_form(b).canonical
-
-
-def automorphism_order(matrix: ArcMatrix) -> int:
-    """Number of node permutations fixing the matrix."""
-    return canonical_form(matrix).aut_order
 
 
 def clear_cache() -> None:

@@ -56,6 +56,7 @@ from pathlib import Path
 from .canonical import CanonicalResult, _remember, canonical_form
 from .core import (
     ArcMatrix,
+    CensusInvariantError,
     ClassId,
     CountBudgetError,
     check_node_cap,
@@ -77,14 +78,6 @@ from .monomial import (
     monomial_to_matrix,
     parse_monomial,
 )
-
-
-class CensusInvariantError(RuntimeError):
-    """The computed census violates one of its own exact identities.
-
-    This signals a bug in the library, never bad user input, so it is raised
-    loudly instead of being folded into a report.
-    """
 
 
 @dataclass(frozen=True)
@@ -125,18 +118,19 @@ class CensusEntry:
 
 @dataclass(frozen=True)
 class CensusReport:
-    """Complete census for (p, d); entries ascend by canonical matrix."""
+    """Complete census for (p, d); entries ascend by canonical matrix.
+
+    The total is derived from the entries, not stored.
+    """
 
     p: int
     d: int
     entries: tuple[CensusEntry, ...]
-    total: int
 
-    def entry_for_canonical(self, matrix: ArcMatrix) -> CensusEntry | None:
-        for entry in self.entries:
-            if entry.canonical == matrix:
-                return entry
-        return None
+    @property
+    def total(self) -> int:
+        """The configuration words over all classes, the sum of the cardinalities."""
+        return sum(entry.cardinality for entry in self.entries)
 
 
 def _group_by_canonical(pairs) -> dict[ArcMatrix, tuple[int, int]]:
@@ -201,13 +195,13 @@ def _finish_report(p: int, d: int, classes: dict[ArcMatrix, tuple[int, int]]) ->
             raise CensusInvariantError(f"class of {canon} is not {d}-regular")
         aut_order, cardinality = classes[canon]
         entries.append(CensusEntry(ClassId(p, rank, cardinality), canon, aut_order))
-    total = sum(entry.cardinality for entry in entries)
+    report = CensusReport(p, d, tuple(entries))
     expected = total_configurations(p, d)
-    if total != expected:
+    if report.total != expected:
         raise CensusInvariantError(
-            f"census for p={p}, d={d} totals {total}, expected {expected}"
+            f"census for p={p}, d={d} totals {report.total}, expected {expected}"
         )
-    return CensusReport(p, d, tuple(entries), total)
+    return report
 
 
 # The most classes build_census takes on; a larger census is refused before
@@ -341,11 +335,8 @@ class CensusDiff:
     only_in_b: tuple[ArcMatrix, ...]
     cardinality_mismatches: tuple[tuple[ArcMatrix, int, int], ...]
 
-    def is_empty(self) -> bool:
-        return not (self.only_in_a or self.only_in_b or self.cardinality_mismatches)
-
     def __bool__(self):
-        return not self.is_empty()
+        return bool(self.only_in_a or self.only_in_b or self.cardinality_mismatches)
 
 
 def compare_census(a: CensusReport, b: CensusReport) -> CensusDiff:
@@ -568,7 +559,8 @@ def verify_against_catalog(report: CensusReport, catalog: Catalog) -> Verificati
 def class_lookup(report: CensusReport, mono: Monomial) -> ClassId:
     """ClassId of the census class containing the multigraph a monomial encodes."""
     matrix = monomial_to_matrix(mono, report.p, report.d)
-    entry = report.entry_for_canonical(canonical_form(matrix).canonical)
+    canon = canonical_form(matrix).canonical
+    entry = next((e for e in report.entries if e.canonical == canon), None)
     if entry is None:
         raise CensusInvariantError(
             "complete census has no class for a valid monomial; this is a bug"

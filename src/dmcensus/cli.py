@@ -136,14 +136,14 @@ def _report_from_records(records: list[dict], source: str) -> CensusReport:
         except ValueError as exc:
             raise ValueError(f"{source} record {rank}: {exc}") from None
         entries.append(entry)
-    total = sum(e.cardinality for e in entries)
+    report = CensusReport(p, d, tuple(entries))
     try:
         expected = total_configurations(p, d)
     except CountBudgetError as exc:
         raise ValueError(f"{source}: {exc}") from None
-    if total != expected:
-        raise ValueError(f"{source} cardinalities sum to {total}, not {expected}")
-    return CensusReport(p, d, tuple(entries), total)
+    if report.total != expected:
+        raise ValueError(f"{source} cardinalities sum to {report.total}, not {expected}")
+    return report
 
 
 def parse_census_csv(text: str) -> CensusReport:
@@ -243,7 +243,7 @@ def _verify_one(p: int, catalog: Catalog, out) -> tuple[bool, int, int, int]:
         f"computed: {len(report.entries)} classes, total {report.total}",
         file=out,
     )
-    if diff.is_empty():
+    if not diff:
         print(f"oracle cross-check: OK ({oracle.total} words)", file=out)
     else:
         print("oracle cross-check: FAIL", file=out)
@@ -255,7 +255,7 @@ def _verify_one(p: int, catalog: Catalog, out) -> tuple[bool, int, int, int]:
             print(f"  {canon}: analytic {card_a} vs oracle {card_b}", file=out)
     if not records:
         print(f"catalog: no records for p={p} (skipped)", file=out)
-        return diff.is_empty(), 0, 0, 0
+        return not diff, 0, 0, 0
     print(
         f"catalog: {len(records)} records; matched {len(verification.matched)}, "
         f"corrected {len(verification.corrected)}, "
@@ -283,7 +283,7 @@ def _verify_one(p: int, catalog: Catalog, out) -> tuple[bool, int, int, int]:
             "has no catalog record",
             file=out,
         )
-    ok = diff.is_empty() and verification.ok()
+    ok = not diff and verification.ok()
     return ok, len(records), len(verification.matched), len(verification.corrected)
 
 

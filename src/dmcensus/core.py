@@ -46,6 +46,14 @@ class RegularityError(ValueError):
     """A matrix that was required to be d-regular is not."""
 
 
+class CensusInvariantError(RuntimeError):
+    """The computed census violates one of its own exact identities.
+
+    This signals a bug in the library, never bad user input, so it is raised
+    loudly instead of being folded into a report.
+    """
+
+
 def check_node_cap(p: int) -> None:
     if p < 0:
         raise ValueError("node count must be nonnegative")

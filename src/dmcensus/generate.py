@@ -5,12 +5,12 @@ configuration words, are demand-driven, duplicate-free, and emitted in
 ascending lexicographic order so that downstream output is byte-stable
 across runs.  The two matrix streams share one row fill, _regular_rows:
 enumerate_regular_matrices keeps every row that fits, and _canonical_rows
-keeps only the row prefixes that can still start a canonical matrix and
-the whole matrices that are canonical (orderly generation: Read 1978;
-Faradzev 1978; the tests are canonical._is_canonical_prefix and
-canonical._canonical_walk), so it yields each class's canonical matrix
-once, in rank order, and never lists the labeled matrices.  Two exact
-counts share one DP, _fixed_matrices, which counts the matrices a
+keeps only the row prefixes that can still start a canonical matrix and the
+whole matrices that are canonical (orderly generation: Read 1978; Faradzev
+1978; the test is canonical._accepting_walk, and the walk that accepts a
+whole matrix gives its canonical._result), so it yields each class's
+canonical matrix once, in rank order, and never lists the labeled matrices.
+Two exact counts share one DP, _fixed_matrices, which counts the matrices a
 relabeling of a given cycle type fixes, and neither shares code with the
 streams: count_regular_matrices is its value at the identity, the length of
 the labeled stream, and class_count sums it over cycle types by Burnside's
@@ -39,7 +39,7 @@ from itertools import product
 from math import comb, factorial, gcd
 from operator import le
 
-from .canonical import CanonicalResult, _canonical_walk, _is_canonical_prefix
+from .canonical import CanonicalResult, _accepting_walk, _result
 from .core import ArcMatrix, check_node_cap, total_configurations
 
 # A configuration word is a length d*p tuple over node names 1..p in which
@@ -78,7 +78,10 @@ def _regular_rows(
                 else:
                     yield (*rows_next, tuple(left))
 
-    yield from fill((), [d] * p)
+    try:
+        yield from fill((), [d] * p)
+    finally:
+        del fill  # fill refers to itself through its cell; break that cycle
 
 
 def enumerate_regular_matrices(p: int, d: int) -> Iterator[ArcMatrix]:
@@ -107,9 +110,9 @@ def _canonical_rows(p: int, d: int) -> Iterator[tuple[tuple[int, ...], Canonical
     and the identity witness, so no class is searched again.  The refusals
     of enumerate_regular_matrices apply.
     """
-    for rows in _regular_rows(p, d, lambda rows: _is_canonical_prefix(rows, p)):
-        if (result := _canonical_walk(rows)) is not None:
-            yield rows, result
+    for rows in _regular_rows(p, d, lambda rows: _accepting_walk(rows, p) is not None):
+        if (walk := _accepting_walk(rows, p)) is not None:
+            yield rows, _result(rows, *walk)
 
 
 def _fixed_matrices(lengths: tuple[int, ...], d: int) -> int:
@@ -148,7 +151,9 @@ def _fixed_matrices(lengths: tuple[int, ...], d: int) -> int:
             for ways, after in placements(lengths[i], deficits, 0, d)
         )
 
-    return completions(0, (d,) * k)
+    count = completions(0, (d,) * k)
+    del completions, placements  # each refers to itself through its cell; break those cycles
+    return count
 
 
 def count_regular_matrices(p: int, d: int) -> int:

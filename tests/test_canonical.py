@@ -1,7 +1,12 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from dataclasses import replace
 from itertools import chain
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,21 +14,20 @@ from hypothesis import strategies as st
 
 from dmcensus import (
     ArcMatrix,
-    DimensionError,
+    CensusInvariantError,
     NodeCapError,
     Permutation,
     apply_permutation,
-    are_isomorphic,
-    automorphism_order,
     canonical_form,
     enumerate_regular_matrices,
 )
 import dmcensus.canonical
 from dmcensus.canonical import (
     _MEMO_SIZE,
+    _accepting_walk,
     _greedy_leaf,
-    _is_canonical_prefix,
     _memo,
+    _remember,
     clear_cache,
 )
 from dmcensus.generate import _canonical_rows
@@ -65,11 +69,11 @@ def test_double_three_cycle():
 
 
 def test_aut_order_examples():
-    assert automorphism_order(ArcMatrix(((0, 1, 1), (1, 0, 1), (1, 1, 0)))) == 6
-    assert automorphism_order(ArcMatrix(((2,),))) == 1
+    assert canonical_form(ArcMatrix(((0, 1, 1), (1, 0, 1), (1, 1, 0)))).aut_order == 6
+    assert canonical_form(ArcMatrix(((2,),))).aut_order == 1
     # two independent doubled 2-cycles on {1,2} and {3,4}
     m = ArcMatrix(((0, 2, 0, 0), (2, 0, 0, 0), (0, 0, 0, 2), (0, 0, 2, 0)))
-    assert automorphism_order(m) == 8
+    assert canonical_form(m).aut_order == 8
 
 
 @pytest.mark.parametrize("p,d", [(0, 2), (1, 2), (2, 2), (3, 2), (4, 2), (3, 1), (4, 1), (5, 1),
@@ -95,10 +99,10 @@ def test_witness_is_the_least_minimal_ordering(p, d):
 def test_prefix_test_agrees_with_brute_force(p, d):
     prefixes = {m.entries[:k] for m in enumerate_regular_matrices(p, d) for k in range(1, p + 1)}
     for rows in prefixes:
-        assert _is_canonical_prefix(rows, p) == (brute_least_block(rows, p) == rows)
+        assert (_accepting_walk(rows, p) is not None) == (brute_least_block(rows, p) == rows)
     # at m = p the prefix test is the full canonicity test
     for m in enumerate_regular_matrices(p, d):
-        assert _is_canonical_prefix(m.entries, p) == (canonical_form(m).canonical == m)
+        assert (_accepting_walk(m.entries, p) is not None) == (canonical_form(m).canonical == m)
 
 
 @pytest.mark.parametrize("p, d", [(5, 2), (6, 1), (7, 1)])
@@ -164,14 +168,14 @@ def test_orbit_stabilizer():
             assert brute_orbit_size(m.entries) == math.factorial(p) // result.aut_order
 
 
-def test_are_isomorphic():
+def test_isomorphic_matrices_share_a_canonical_form():
     rng = random.Random(47)
     m = ArcMatrix(((0, 1, 1), (1, 0, 1), (1, 1, 0)))
-    assert are_isomorphic(m, m)
-    assert are_isomorphic(m, apply_permutation(m, random_permutation(rng, 3)))
-    assert not are_isomorphic(ArcMatrix(((2, 0), (0, 2))), ArcMatrix(((0, 2), (2, 0))))
-    with pytest.raises(DimensionError):
-        are_isomorphic(ArcMatrix(((2,),)), ArcMatrix(((2, 0), (0, 2))))
+    assert canonical_form(m).canonical == canonical_form(m).canonical
+    relabeled = apply_permutation(m, random_permutation(rng, 3))
+    assert canonical_form(m).canonical == canonical_form(relabeled).canonical
+    loops, two_cycle = ArcMatrix(((2, 0), (0, 2))), ArcMatrix(((0, 2), (2, 0)))
+    assert canonical_form(loops).canonical != canonical_form(two_cycle).canonical
 
 
 def test_node_cap():
@@ -283,6 +287,53 @@ def test_memo_is_bounded(monkeypatch):
     clear_cache()
     # every distinct input of a d=2, p<=5 census fits without eviction
     assert _MEMO_SIZE >= sum(1 for p in range(6) for _ in enumerate_regular_matrices(p, 2))
+
+
+def wrong_witness(m):
+    """canonical_form(m) with its witness followed by the swap of nodes 0 and 1."""
+    result = canonical_form(m)
+    swap = (1, 0, *range(2, m.p))
+    return replace(result, witness=Permutation(tuple(swap[w] for w in result.witness.images)))
+
+
+def test_memo_refuses_a_wrong_witness():
+    m = ArcMatrix(((0, 2, 0), (0, 0, 2), (2, 0, 0)))  # |Aut| = 3, no swap of two nodes
+    clear_cache()
+    result = canonical_form(m)
+    wrong = wrong_witness(m)
+    with pytest.raises(CensusInvariantError, match="does not carry"):
+        _remember(m.entries, wrong)
+    assert _memo == {m.entries: result}
+
+
+# The same check in a python -O process, where assert statements are stripped.
+OPTIMIZED_CHECK = """
+import sys
+from dmcensus import ArcMatrix, CensusInvariantError, canonical_form
+from dmcensus.canonical import _memo, _remember
+from test_canonical import wrong_witness
+if __debug__:
+    sys.exit("not running under -O")
+m = ArcMatrix(((0, 2, 0), (0, 0, 2), (2, 0, 0)))
+result = canonical_form(m)
+try:
+    _remember(m.entries, wrong_witness(m))
+except CensusInvariantError:
+    pass
+else:
+    sys.exit("a wrong witness was stored")
+if _memo != {m.entries: result}:
+    sys.exit("the memo changed")
+"""
+
+
+def test_memo_refuses_a_wrong_witness_under_python_O():
+    src = Path(dmcensus.canonical.__file__).resolve().parents[1]
+    path = [str(src), str(Path(__file__).resolve().parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECK],
+                          capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 @st.composite
