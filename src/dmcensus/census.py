@@ -12,18 +12,15 @@ Two independent routes produce the census for (p, d).
   two exact counts made without the generator.  The class count is made
   first, and a census above CLASS_BUDGET classes is refused.
 * oracle_census counts configuration words per matrix and takes each class
-  cardinality as its raw word count, with no counting formula.  It hands
-  (rows, count) pairs, the plain row tuples of a labeled matrix and its
-  count, to _group_by_canonical and reads back canonical -> (|Aut|, summed
-  count).  The grouping runs one canonical search per class, on the first
-  matrix of the class to arrive, and assigns the later ones by brute force:
-  the searched matrix's p! relabelings are listed, and each later matrix
-  must be one of them.  Each search is checked against that orbit (its
-  canonical matrix is the least relabeling, and len(orbit) * |Aut| == p!),
-  no labeled matrix may arrive twice, and every listed relabeling must
-  arrive, so each class holds p!/|Aut| labeled matrices (orbit-stabilizer).
-  An oracle of more than WORD_BUDGET words, or whose orbit sweep would list
-  more than ORBIT_BUDGET relabelings, is refused before any word is counted.
+  cardinality as its raw word count, with no counting formula.
+  _group_by_canonical consumes the tally, the plain row tuples of each
+  labeled matrix -> its count, one class at a time: one canonical search on
+  the first matrix of the class left in the tally, whose p! relabelings,
+  listed by brute force, are checked against the search and popped, so each
+  class holds p!/|Aut| labeled matrices (orbit-stabilizer) and its words
+  split evenly over them.  An oracle of more than WORD_BUDGET words, or
+  whose orbit sweep would list more than ORBIT_BUDGET relabelings, is
+  refused before any word is counted.
 
 Neither route validates a labeled matrix.  The generator makes one ArcMatrix
 per canonical matrix, and the grouping one per class, from the
@@ -50,7 +47,8 @@ import io
 import math
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain, permutations
+from itertools import permutations, starmap
+from operator import itemgetter
 from pathlib import Path
 
 from .canonical import CanonicalResult, _remember, canonical_form
@@ -133,57 +131,56 @@ class CensusReport:
         return sum(entry.cardinality for entry in self.entries)
 
 
-def _group_by_canonical(pairs) -> dict[ArcMatrix, tuple[int, int]]:
-    """Group the oracle's (rows, count) pairs into canonical -> (aut_order, count).
+def _group_by_canonical(tally: dict) -> dict[ArcMatrix, tuple[int, int]]:
+    """Group the oracle's tally, rows -> count, into canonical -> (aut_order, count).
 
-    rows are a labeled matrix's plain row tuples, and count sums over the
-    pairs of the class.  The first matrix of each class, alone made an
-    ArcMatrix, gets the class's one canonical search, and its orbit, all p!
-    relabelings by brute force, goes into `pending`; a later matrix of the
-    class is found there, not searched.  The search must agree with the
-    orbit: its canonical matrix is the least relabeling, and len(orbit) *
-    |Aut| == p!.  No labeled matrix may arrive twice, and `pending` must end
-    empty: then every class got all its p!/|Aut| labeled matrices
-    (orbit-stabilizer), which callers derive instead of counting.
-
-    `pending` keys are the bytes of the row-major entries, so entries must be
-    below 256: for p >= 2 the count budget caps d at 33, and at p <= 1
-    `pending` stays empty and no key is built.
+    Consumes tally: each class pops its labeled matrices as it forms.  The
+    first matrix of a class still in the tally, in the tally's order, alone
+    becomes an ArcMatrix and gets the class's one canonical search, and its
+    orbit, all p! relabelings as row tuples, is listed by brute force.  The
+    search must be new and agree with the orbit: its canonical matrix is no
+    class yet and is the least relabeling, and len(orbit) * |Aut| == p!.
+    Every relabeling must still be in the tally, so the class holds all its
+    p!/|Aut| labeled matrices (orbit-stabilizer), which callers derive
+    instead of counting, and its words must split evenly over them.
     """
     classes: dict[ArcMatrix, tuple[int, int]] = {}
-    pending: dict[bytes, ArcMatrix] = {}  # relabeling not yet streamed -> canonical
-    for rows, count in pairs:
-        canon = pending.pop(bytes(chain.from_iterable(rows)), None) if pending else None
-        if canon is None:
-            matrix = ArcMatrix(rows)
-            result = canonical_form(matrix)
-            canon, p = result.canonical, matrix.p
-            if canon in classes:
-                raise CensusInvariantError(f"labeled matrix {matrix} arrived twice")
+    for rows in list(tally):
+        if rows not in tally:
+            continue  # popped with the orbit of an earlier class
+        matrix = ArcMatrix(rows)
+        result = canonical_form(matrix)
+        canon, aut_order, p = result.canonical, result.aut_order, matrix.p
+        if canon in classes:
+            raise CensusInvariantError(f"labeled matrix {matrix} is outside the orbit of {canon}")
+        if p <= 1:  # itemgetter of fewer than 2 items returns no tuple
+            orbit = {rows}
+        else:
             orbit = {
-                tuple(rows[i][j] for i in perm for j in perm)
-                for perm in permutations(range(p))
+                tuple(map(get, get(rows)))
+                for get in starmap(itemgetter, permutations(range(p)))
             }
-            if min(orbit) != tuple(chain.from_iterable(canon.entries)):
-                raise CensusInvariantError(
-                    f"canonical form {canon} is not the least relabeling of {matrix}"
-                )
-            if len(orbit) * result.aut_order != math.factorial(p):
-                raise CensusInvariantError(
-                    f"{matrix} has {len(orbit)} relabelings, but the search gives "
-                    f"|Aut| = {result.aut_order}; their product must be {p}!"
-                )
-            orbit.remove(tuple(chain.from_iterable(rows)))
-            pending.update(dict.fromkeys(map(bytes, orbit), canon))
-            classes[canon] = (result.aut_order, 0)
-        aut_order, total = classes[canon]
-        classes[canon] = (aut_order, total + count)
-    if pending:
-        canon = next(iter(pending.values()))
-        raise CensusInvariantError(
-            f"class of {canon} lacks a labeled matrix; orbit-stabilizer demands "
-            f"{math.factorial(canon.p) // classes[canon][0]} of them"
-        )
+        if min(orbit) != canon.entries:
+            raise CensusInvariantError(
+                f"canonical form {canon} is not the least relabeling of {matrix}"
+            )
+        if len(orbit) * aut_order != math.factorial(p):
+            raise CensusInvariantError(
+                f"{matrix} has {len(orbit)} relabelings, but the search gives "
+                f"|Aut| = {aut_order}; their product must be {p}!"
+            )
+        if not orbit <= tally.keys():
+            raise CensusInvariantError(
+                f"class of {canon} lacks a labeled matrix; orbit-stabilizer demands "
+                f"{len(orbit)} of them"
+            )
+        words = sum(map(tally.pop, orbit))
+        if words % len(orbit):
+            raise CensusInvariantError(
+                f"class of {canon}: {words} words over {len(orbit)} matrices "
+                "is not an integer per-matrix count"
+            )
+        classes[canon] = (aut_order, words)
     return classes
 
 
@@ -269,19 +266,19 @@ def build_census(p: int, d: int) -> CensusReport:
 # The most configuration words oracle_census tallies; a larger oracle is
 # refused before anything is enumerated.  The tally's time follows the
 # words, timed on one core of a 2-vCPU host: at (6,2), 7,484,400 words, the
-# whole oracle takes 4-5 s of CPU, about half of it in the tally, and at
-# (4,3), 369,600 words, about 0.1 s.  The nearest word counts above it are
-# 17,153,136 at (3,6), 63,063,000 at (4,4), 168,168,000 at (5,3) and
+# whole oracle takes 3.3-4.5 s of CPU, more than half of it in the tally,
+# and at (4,3), 369,600 words, about 0.1 s.  The nearest word counts above
+# it are 17,153,136 at (3,6), 63,063,000 at (4,4), 168,168,000 at (5,3) and
 # 681,080,400 at (7,2).
 WORD_BUDGET = 10**7
 
 # The most relabelings the oracle's orbit sweep lists, p! for each of the
 # class_count classes; a larger oracle is refused before anything is
 # enumerated.  The sweep's time follows the relabelings, timed on one core
-# of a 2-vCPU host: the whole oracle takes 5-6 s of CPU at (8,1), 887,040
-# relabelings, and 4-5 s at (6,2), 285,840.  The word budget admits two
-# sizes above it: (9,1), 10,886,400 relabelings, about 90 s (one p = 9
-# orbit takes 3 s), and (10,1), 152,409,600.
+# of a 2-vCPU host: the whole oracle takes 3.2-3.7 s of CPU at (8,1),
+# 887,040 relabelings, and 3.3-4.5 s at (6,2), 285,840.  The word budget
+# admits two sizes above it: (9,1), 10,886,400 relabelings, about 45 s (30
+# orbits of 1.5 s each), and (10,1), 152,409,600.
 ORBIT_BUDGET = 10**6
 
 
@@ -307,21 +304,14 @@ def _check_oracle_budget(p: int, d: int) -> None:
 def oracle_census(p: int, d: int) -> CensusReport:
     """Census rebuilt by brute force: raw word tallies, no counting formulas.
 
-    The grouping checks that every class got all its labeled matrices, and
-    each class's words must split evenly over them.  An oracle of more than
+    The grouping checks that every class got all its labeled matrices and
+    that each class's words split evenly over them.  An oracle of more than
     WORD_BUDGET words, or of more than ORBIT_BUDGET relabelings in the
     grouping's orbit sweep, is refused with CountBudgetError before any word
     is counted.
     """
     _check_oracle_budget(p, d)
-    classes = _group_by_canonical(_word_tally(p, d).items())
-    for canon, (aut_order, words) in classes.items():
-        labeled = math.factorial(p) // aut_order
-        if words % labeled:
-            raise CensusInvariantError(
-                f"class of {canon}: {words} words over {labeled} matrices "
-                "is not an integer per-matrix count"
-            )
+    classes = _group_by_canonical(_word_tally(p, d))
     return _finish_report(p, d, classes)
 
 
@@ -398,10 +388,14 @@ class Catalog:
             if len(row) != 5:
                 raise ValueError(f"catalog CSV line {lineno}: expected 5 fields, got {len(row)}")
             try:
-                p, rank, cardinality = int(row[0]), int(row[1]), int(row[2])
+                designation = [int(field) for field in row[:3]]
+                if list(map(str, designation)) != row[:3]:  # "+1", "01", "0_1"
+                    raise ValueError
             except ValueError:
-                raise ValueError(f"catalog CSV line {lineno}: non-integer designation") from None
-            records.append(CatalogRecord(p, rank, cardinality, row[3], row[4]))
+                raise ValueError(
+                    f"catalog CSV line {lineno}: designation not written as plain integers"
+                ) from None
+            records.append(CatalogRecord(*designation, row[3], row[4]))
         if not records:
             # verify would otherwise check no size and still pass.
             raise ValueError("catalog CSV has no records")

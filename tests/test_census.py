@@ -47,7 +47,7 @@ from dmcensus.census import (
     _finish_report,
     _group_by_canonical,
 )
-from dmcensus.generate import _canonical_rows, _result
+from dmcensus.generate import _canonical_rows, _result, _word_tally
 from oracles import word_tally
 
 
@@ -66,23 +66,42 @@ def test_census_null_graph(census_d2):
 
 def test_grouping_rejects_a_class_short_of_a_labeled_matrix():
     tally = Counter(m.entries for m in enumerate_regular_matrices(3, 2))
-    classes = _group_by_canonical(tally.items())
-    assert len(classes) == 8
+    consumed = tally.copy()
+    classes = _group_by_canonical(consumed)
+    assert len(classes) == 8 and not consumed
     # a double loop beside a complete 2-node digraph: |Aut| = 2, 3 labelings
     missing = ArcMatrix(((2, 0, 0), (0, 1, 1), (0, 1, 1)))
     assert classes[canonical_form(missing).canonical][:2] == (2, 3)
     del tally[missing.entries]
     with pytest.raises(CensusInvariantError, match="orbit-stabilizer"):
-        _group_by_canonical(tally.items())
+        _group_by_canonical(tally.copy())
 
 
+def test_grouping_rejects_a_search_outside_its_orbit(monkeypatch):
+    searched = []
 
-@pytest.mark.parametrize("p", [1, 3])
-def test_grouping_rejects_a_repeated_labeled_matrix(p):
-    stream = list(enumerate_regular_matrices(p, 2))
-    stream.append(stream[-1])
-    with pytest.raises(CensusInvariantError, match="arrived twice"):
-        _group_by_canonical((m.entries, 1) for m in stream)
+    def first_search(matrix):  # every matrix is put in the first class searched
+        searched.append(canonical_form(matrix))
+        return searched[0]
+
+    monkeypatch.setattr(dmcensus.census, "canonical_form", first_search)
+    with pytest.raises(CensusInvariantError, match="outside the orbit"):
+        oracle_census(3, 2)
+
+
+def test_grouping_memory_follows_one_orbit():
+    # The grouping holds the tally's keys, one orbit of row tuples and the
+    # classes, 355 KiB traced here; a second table of the relabelings still
+    # to come, keyed by bytes, peaked at 769 KiB.
+    tally = _word_tally(5, 2)
+    clear_cache()
+    tracemalloc.start()
+    try:
+        _group_by_canonical(tally)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 2**10
 
 
 @pytest.mark.parametrize(
@@ -242,9 +261,9 @@ def test_build_census_refuses_too_many_classes_up_front(p, d, classes):
 
 
 def test_build_census_memory_follows_the_classes():
-    # Grouping the 202,410 labeled matrices through a table of pending
-    # relabelings peaks at 188,434 keys here, 26.6 MiB traced; orderly
-    # generation holds one row prefix and the 397 classes, 0.9 MiB.
+    # Orderly generation holds one row prefix and the 397 classes, 0.9 MiB
+    # traced here, never the 202,410 labeled matrices: the oracle's tally of
+    # them as row tuples holds 27 MiB.
     tracemalloc.start()
     try:
         build_census(6, 2)
@@ -584,3 +603,13 @@ def test_catalog_error_line_counts_quoted_line_breaks():
     text = CATALOG_HEADER + '2,1,4,x11,"two\nlines"\n\n2,2,1\n'
     with pytest.raises(ValueError, match="line 5: expected 5 fields, got 3"):
         Catalog.from_csv_text(text)
+
+
+@pytest.mark.parametrize("spelling", ["+1", "0_1", "١", " 1", "01", "-0", "1.0"])
+def test_catalog_refuses_a_designation_not_written_as_a_plain_integer(spelling):
+    row = ["1", "1", "1", "x11 x11", ""]
+    assert Catalog.from_csv_text(CATALOG_HEADER + csv_text([row])).records[0].designation == "1,1,1"
+    for field in range(3):  # p, rank, cardinality
+        misspelled = [*row[:field], spelling, *row[field + 1 :]]
+        with pytest.raises(ValueError, match="line 2: designation not written as plain integers"):
+            Catalog.from_csv_text(CATALOG_HEADER + csv_text([misspelled]))

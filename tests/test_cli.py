@@ -215,8 +215,9 @@ def test_census_parsers_on_mutated_renders(census_d2, fmt, p, index, column, val
     assert_round_trip_or_value_error(fmt, mutate(render(census_d2(p)), index, column, value))
 
 
-# sha256 of stdout at every desk-scale size and format: the ranks, counts and
-# canonical monomials are the published census and must stay byte-identical.
+# sha256 of stdout of census at every desk-scale size and format, and of
+# oracle and verify: the ranks, counts and canonical monomials are the
+# published census and must stay byte-identical.
 STDOUT_SHA256 = [
     ("census -p 0 --format text", "baf2a700b5afb472ad544855e775d1da0c03883b43b86fa92b7964b8b4a919f8"),
     ("census -p 0 --format csv", "bd37d831dbf2f0cc4dc3d88325dd5c4b6dcd6ea298a5acaaca7bedecf3610bd9"),
@@ -237,6 +238,9 @@ STDOUT_SHA256 = [
     ("census -p 5 --format csv", "cac007bf35998e3dc18d09f3bf0cd4f6989f495f42c006d8fcf2f67d363ab6a8"),
     ("census -p 5 --format jsonl", "b0f876e5f6b81af16516288000483b8f82c3366e30a98b8544a55bb4bf4e56b5"),
     ("oracle -p 4 -d 3 --format csv", "d83db8b9446189cfa19c82411b2c7a5d029a99686034fd88d618c924a82f6f52"),
+    ("oracle -p 5 --format text", "f7e27542bf960859912967e96c645a25c3522130e174e13135d527bcbe91718f"),
+    ("oracle -p 6 -d 1 --format csv", "ac13970cf599da2feec11d41de22938b07a7ed78dd160353b3a7f62bd52803de"),
+    ("verify --all", "6f044d995e42448900009a97283b731b07bf22d8a6203c11b5030b30f4e1ed0b"),
 ]
 
 
