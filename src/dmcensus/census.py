@@ -14,30 +14,31 @@ Two independent routes produce the census for (p, d).
 * oracle_census counts configuration words per matrix and takes each class
   cardinality as its raw word count, with no counting formula.
   _group_by_canonical consumes the tally, the plain row tuples of each
-  labeled matrix -> its count, one class at a time: one canonical search on
-  the first matrix of the class left in the tally, whose p! relabelings,
-  listed by brute force, are checked against the search and popped, so each
-  class holds p!/|Aut| labeled matrices (orbit-stabilizer) and its words
-  split evenly over them.  An oracle of more than WORD_BUDGET words, or
-  whose orbit sweep would list more than ORBIT_BUDGET relabelings, is
-  refused before any word is counted.
+  labeled matrix -> its count, one class at a time, with no canonical
+  search: the p! relabelings of the first matrix of the class left in the
+  tally, listed by brute force and popped, give the canonical matrix, their
+  least, and |Aut|, p! over their number (orbit-stabilizer), and the
+  class's words must split evenly over them.  An oracle of more than
+  WORD_BUDGET words, or whose orbit sweep would list more than ORBIT_BUDGET
+  relabelings, is refused before any word is counted.
 
 Neither route validates a labeled matrix.  The generator makes one ArcMatrix
-per canonical matrix, and the grouping one per class, from the
-rows of the matrix it searches.  The oracle counts every word under an
-integer key of its matrix, unchecked, without listing the words: each key
-is a head key plus a tail key, and the tail keys are built once per
-multiset of symbols left after the head (see generate._word_tally).  In place
-of a per-word check, _finish_report requires each class's canonical matrix
-to be d-regular: a word with a wrong multiset projects to a non-regular
-matrix, so its class fails this check (or the orbit-stabilizer one).
+per canonical matrix, and the grouping one per class, from the least of its
+relabelings.  The oracle counts every word under an integer key of its
+matrix, unchecked, without listing the words: each key is a head key plus
+a tail key, and the tail keys are built once per multiset of symbols left
+after the head (see generate._word_tally).  In place of a per-word check,
+_finish_report requires each class's canonical matrix to be d-regular: a
+word with a wrong multiset projects to a non-regular matrix, so its class
+fails this check (or the orbit-stabilizer one).
 
 A CensusEntry stores its ClassId, canonical matrix and |Aut|; every other
-count is derived.  compare_census cross-checks the two routes: the oracle
-passes the orbit-stabilizer check and both routes take |Aut| from the
-canonical walk, so equal cardinalities pin each class's word count to
-(p!/|Aut|) * weight.  verify_against_catalog checks a census against the
-bundled reference catalog.
+count is derived.  compare_census is where the search meets brute force:
+the oracle shares no code with the canonical search, so equal canonical
+keys check that each generated canonical matrix is the least relabeling,
+and equal cardinalities check the build's (p!/|Aut|) * weight against the
+raw word count, and so each |Aut|.  verify_against_catalog checks a census
+against the bundled reference catalog.
 """
 
 from __future__ import annotations
@@ -135,24 +136,19 @@ def _group_by_canonical(tally: dict) -> dict[ArcMatrix, tuple[int, int]]:
     """Group the oracle's tally, rows -> count, into canonical -> (aut_order, count).
 
     Consumes tally: each class pops its labeled matrices as it forms.  The
-    first matrix of a class still in the tally, in the tally's order, alone
-    becomes an ArcMatrix and gets the class's one canonical search, and its
-    orbit, all p! relabelings as row tuples, is listed by brute force.  The
-    search must be new and agree with the orbit: its canonical matrix is no
-    class yet and is the least relabeling, and len(orbit) * |Aut| == p!.
-    Every relabeling must still be in the tally, so the class holds all its
-    p!/|Aut| labeled matrices (orbit-stabilizer), which callers derive
-    instead of counting, and its words must split evenly over them.
+    orbit of the first matrix of a class still in the tally, in the tally's
+    order, all p! relabelings as row tuples, is listed by brute force: its
+    least is the canonical matrix and p!/len(orbit) is |Aut|
+    (orbit-stabilizer), so the oracle shares no code with canonical search.
+    Every relabeling must still be in the tally, so the class holds all the
+    p!/|Aut| labeled matrices callers derive instead of counting, and its
+    words must split evenly over them.
     """
     classes: dict[ArcMatrix, tuple[int, int]] = {}
     for rows in list(tally):
         if rows not in tally:
             continue  # popped with the orbit of an earlier class
-        matrix = ArcMatrix(rows)
-        result = canonical_form(matrix)
-        canon, aut_order, p = result.canonical, result.aut_order, matrix.p
-        if canon in classes:
-            raise CensusInvariantError(f"labeled matrix {matrix} is outside the orbit of {canon}")
+        p = len(rows)
         if p <= 1:  # itemgetter of fewer than 2 items returns no tuple
             orbit = {rows}
         else:
@@ -160,15 +156,7 @@ def _group_by_canonical(tally: dict) -> dict[ArcMatrix, tuple[int, int]]:
                 tuple(map(get, get(rows)))
                 for get in starmap(itemgetter, permutations(range(p)))
             }
-        if min(orbit) != canon.entries:
-            raise CensusInvariantError(
-                f"canonical form {canon} is not the least relabeling of {matrix}"
-            )
-        if len(orbit) * aut_order != math.factorial(p):
-            raise CensusInvariantError(
-                f"{matrix} has {len(orbit)} relabelings, but the search gives "
-                f"|Aut| = {aut_order}; their product must be {p}!"
-            )
+        canon = ArcMatrix(min(orbit))
         if not orbit <= tally.keys():
             raise CensusInvariantError(
                 f"class of {canon} lacks a labeled matrix; orbit-stabilizer demands "
@@ -180,7 +168,7 @@ def _group_by_canonical(tally: dict) -> dict[ArcMatrix, tuple[int, int]]:
                 f"class of {canon}: {words} words over {len(orbit)} matrices "
                 "is not an integer per-matrix count"
             )
-        classes[canon] = (aut_order, words)
+        classes[canon] = (math.factorial(p) // len(orbit), words)
     return classes
 
 
@@ -347,6 +335,15 @@ def compare_census(a: CensusReport, b: CensusReport) -> CensusDiff:
     return CensusDiff(a.p, a.d, only_a, only_b, mismatches)
 
 
+def _plain_ints(fields: list[str]) -> list[int]:
+    """The integers fields spell; ValueError unless each is written as str(int) writes
+    it, so not as "+1", "01", "0_1", " 1", "-0" or in the digits of other scripts."""
+    ints = [int(field) for field in fields]
+    if list(map(str, ints)) != fields:
+        raise ValueError(f"{fields!r} not written as plain integers")
+    return ints
+
+
 @dataclass(frozen=True)
 class CatalogRecord:
     """One reference-catalog row: designation triple plus monomial text."""
@@ -388,9 +385,7 @@ class Catalog:
             if len(row) != 5:
                 raise ValueError(f"catalog CSV line {lineno}: expected 5 fields, got {len(row)}")
             try:
-                designation = [int(field) for field in row[:3]]
-                if list(map(str, designation)) != row[:3]:  # "+1", "01", "0_1"
-                    raise ValueError
+                designation = _plain_ints(row[:3])
             except ValueError:
                 raise ValueError(
                     f"catalog CSV line {lineno}: designation not written as plain integers"

@@ -19,6 +19,7 @@ from .census import (
     CensusEntry,
     CensusReport,
     _check_oracle_budget,
+    _plain_ints,
     build_census,
     class_lookup,
     compare_census,
@@ -161,9 +162,12 @@ def parse_census_csv(text: str) -> CensusReport:
     for row in rows[1:]:
         if len(row) != len(CSV_COLUMNS):
             raise ValueError(f"census CSV row {row!r} does not have {len(CSV_COLUMNS)} fields")
-        counts = [int(field) for field in row[:-1]]
-        if list(map(str, counts)) != row[:-1]:
-            raise ValueError(f"census CSV row {row!r} has a count not written as a plain integer")
+        try:
+            counts = _plain_ints(row[:-1])
+        except ValueError:
+            raise ValueError(
+                f"census CSV row {row!r} has a count not written as a plain integer"
+            ) from None
         records.append(dict(zip(CSV_COLUMNS, [*counts, row[-1]])))
     return _report_from_records(records, "census CSV")
 
@@ -320,8 +324,7 @@ def _cmd_lookup(args) -> int:
 
 def _cmd_render(args) -> int:
     try:
-        p_text, rank_text = args.class_id.split(",")
-        p, rank = int(p_text), int(rank_text)
+        p, rank = _plain_ints(args.class_id.split(","))
     except ValueError:
         raise ValueError(f"--class expects '<p>,<rank>', got {args.class_id!r}") from None
     report = build_census(p, args.d)
@@ -335,14 +338,14 @@ def _cmd_render(args) -> int:
 
 
 def _nonnegative_int(text: str) -> int:
-    value = int(text)
+    (value,) = _plain_ints([text])
     if value < 0:
         raise argparse.ArgumentTypeError("must be nonnegative")
     return value
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    (value,) = _plain_ints([text])
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value

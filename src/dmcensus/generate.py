@@ -26,8 +26,8 @@ does not list the words at all: _word_tally builds each word's integer key
 from a head key, over the first half of the positions, and a tail key from
 a table built once per multiset of symbols the head leaves, counts every
 word under its key and decodes each distinct key once, to plain row tuples
-without that check; the oracle checks regularity once per class instead.  enumerate_words, the words one
-by one, is the reference the tally is tested against.
+without that check; the oracle checks regularity once per class instead.
+enumerate_words, the words one by one, is the tally's test reference.
 """
 
 from __future__ import annotations

@@ -14,13 +14,14 @@ from hypothesis import strategies as st
 
 import dmcensus
 import dmcensus.cli
-from dmcensus import ArcMatrix, build_census, emit_dot, oracle_census, run_cli
+from dmcensus import ArcMatrix, Permutation, build_census, emit_dot, oracle_census, run_cli
 from dmcensus.cli import (
     parse_census_csv,
     parse_census_jsonl,
     render_census_csv,
     render_census_jsonl,
 )
+from dmcensus.generate import _canonical_rows
 
 SRC_DIR = str(Path(dmcensus.__file__).resolve().parent.parent)
 
@@ -315,6 +316,31 @@ def test_verify_reports_an_oracle_disagreement(monkeypatch, capsys):
     assert "verification: FAIL" in out
 
 
+def test_verify_catches_a_generated_class_that_is_not_the_least_relabeling(monkeypatch, capsys):
+    # One p = 3 class leaves the generator relabeled by i -> 2 - i, with a
+    # result that agrees with it (canonical = those rows, identity witness),
+    # so every check inside build_census holds; only the oracle's orbit tells.
+    def flip(rows):
+        return tuple(row[::-1] for row in rows[::-1])
+
+    stream = list(_canonical_rows(3, 2))
+    index = next(i for i, (rows, _) in enumerate(stream) if flip(rows) != rows)
+    rows, result = stream[index]
+    flipped = ArcMatrix(flip(rows))
+    stream[index] = (flipped.entries,
+                     replace(result, canonical=flipped, witness=Permutation.identity(3)))
+    monkeypatch.setattr(dmcensus.census, "_canonical_rows", lambda p, d: iter(stream))
+    monkeypatch.setattr(dmcensus.canonical, "_memo", {})  # the build stores the result
+    assert run_cli(["verify", "-p", "3"]) == 1
+    out = capsys.readouterr().out
+    assert (
+        "oracle cross-check: FAIL\n"
+        f"  only in analytic census: {flipped}\n"
+        f"  only in oracle census: {ArcMatrix(rows)}\n"
+    ) in out
+    assert "verification: FAIL" in out
+
+
 def test_verify_reports_an_unmatched_record(tmp_path, capsys):
     extra = tmp_path / "extra.csv"
     extra.write_text(
@@ -474,6 +500,21 @@ def test_render_bad_designation(capsys):
     capsys.readouterr()
     assert run_cli(["render", "--class", "2,99"]) == 2
     assert "out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spelling", ["+1", "0_1", "١", " 1", "01", "-0", "1.0"])
+def test_cli_refuses_an_integer_not_written_as_a_plain_integer(spelling, capsys):
+    for argv in (
+        ["census", "-p", spelling],
+        ["census", "-p", "1", "-d", spelling],
+        ["lookup", "--monomial", "x11 x11", "-p", spelling],
+        ["render", "--class", f"{spelling},1"],
+        ["render", "--class", f"1,{spelling}"],
+    ):
+        assert run_cli(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: " in err
 
 
 def test_usage_errors_exit_2():
