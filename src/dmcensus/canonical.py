@@ -90,8 +90,8 @@ from .core import ArcMatrix, CensusInvariantError, Permutation, check_node_cap
 
 # Memo capacity.  Measured traffic is a few hundred distinct inputs per job
 # (see above).  With the census built by orderly generation the memo still
-# pays: a cold census-d2 bench round took 0.100-0.103 s scaled with it and
-# 0.118-0.125 s with a size of 0 (6 alternating pairs of 8 s runs, seed 3,
+# pays: a cold census-d2 bench round took 0.076-0.078 s scaled with it and
+# 0.103-0.108 s with a size of 1 (6 alternating pairs of 8 s runs, seeds 3-8,
 # one pinned core of a 2-vCPU host).  The size is headroom for callers that
 # canonicalize many labeled matrices themselves; the bound keeps memory flat
 # beyond it.

@@ -413,29 +413,18 @@ def load_catalog(path: str | Path | None = None) -> Catalog:
 
 
 @dataclass(frozen=True)
-class MatchedRecord:
+class RecordCheck:
+    """What checking one catalog record found.
+
+    entry is the computed class the record claimed, if any; inserted_arc the
+    1-based (source, target) arc that completed the record's degrees, if one
+    was forced; reason why the record failed, empty when it did not.
+    """
+
     record: CatalogRecord
-    entry: CensusEntry
-
-
-@dataclass(frozen=True)
-class CorrectedRecord:
-    record: CatalogRecord
-    entry: CensusEntry
-    inserted_arc: tuple[int, int]  # 1-based (source, target) completing the degrees
-
-
-@dataclass(frozen=True)
-class MismatchedRecord:
-    record: CatalogRecord
-    entry: CensusEntry
-    reason: str
-
-
-@dataclass(frozen=True)
-class UnmatchedRecord:
-    record: CatalogRecord
-    reason: str
+    entry: CensusEntry | None = None
+    inserted_arc: tuple[int, int] | None = None
+    reason: str = ""
 
 
 @dataclass(frozen=True)
@@ -444,15 +433,16 @@ class VerificationReport:
 
     Every catalog record lands in exactly one of matched, corrected,
     mismatched, or unmatched_catalog; computed classes no record claimed end
-    up in unmatched_computed.
+    up in unmatched_computed.  A corrected check carries an inserted arc, a
+    mismatched one an entry and a reason, an unmatched one no entry.
     """
 
     p: int
     d: int
-    matched: tuple[MatchedRecord, ...]
-    corrected: tuple[CorrectedRecord, ...]
-    mismatched: tuple[MismatchedRecord, ...]
-    unmatched_catalog: tuple[UnmatchedRecord, ...]
+    matched: tuple[RecordCheck, ...]
+    corrected: tuple[RecordCheck, ...]
+    mismatched: tuple[RecordCheck, ...]
+    unmatched_catalog: tuple[RecordCheck, ...]
     unmatched_computed: tuple[CensusEntry, ...]
 
     def ok(self) -> bool:
@@ -482,66 +472,49 @@ def verify_against_catalog(report: CensusReport, catalog: Catalog) -> Verificati
     """
     by_canonical = {entry.canonical: entry for entry in report.entries}
     claimed: dict[int, str] = {}  # computed rank -> designation that claimed it
-    matched, corrected, mismatched, unmatched = [], [], [], []
-    for record in catalog.for_p(report.p):
+
+    def check(record: CatalogRecord) -> RecordCheck:
         try:
             mono = parse_monomial(record.monomial)
         except MonomialParseError as exc:
-            unmatched.append(UnmatchedRecord(record, f"unparseable monomial: {exc}"))
-            continue
+            return RecordCheck(record, reason=f"unparseable monomial: {exc}")
         inserted = None
         try:
             matrix = monomial_to_matrix(mono, report.p, report.d)
         except DegreeError as exc:
             inserted = _forced_completion(exc)
             if inserted is None:
-                unmatched.append(
-                    UnmatchedRecord(record, f"no single-arc completion: {exc}")
-                )
-                continue
+                return RecordCheck(record, reason=f"no single-arc completion: {exc}")
             matrix = monomial_to_matrix(
                 Monomial(mono.factors + (inserted,)), report.p, report.d
             )
         except ValueError as exc:
-            unmatched.append(UnmatchedRecord(record, str(exc)))
-            continue
+            return RecordCheck(record, reason=str(exc))
         entry = by_canonical.get(canonical_form(matrix).canonical)
         if entry is None:
-            unmatched.append(
-                UnmatchedRecord(record, "no computed class with this canonical form")
-            )
-            continue
+            return RecordCheck(record, reason="no computed class with this canonical form")
         if entry.rank in claimed:
-            unmatched.append(
-                UnmatchedRecord(
-                    record,
-                    f"computed class {report.p},{entry.rank} already matched by "
-                    f"record {claimed[entry.rank]}",
-                )
+            return RecordCheck(
+                record,
+                reason=f"computed class {report.p},{entry.rank} already matched by "
+                f"record {claimed[entry.rank]}",
             )
-            continue
         claimed[entry.rank] = record.designation
         if entry.cardinality != record.cardinality:
-            mismatched.append(
-                MismatchedRecord(
-                    record,
-                    entry,
-                    f"catalog cardinality {record.cardinality} vs computed {entry.cardinality}",
-                )
-            )
-        elif inserted is not None:
-            corrected.append(CorrectedRecord(record, entry, inserted))
-        else:
-            matched.append(MatchedRecord(record, entry))
-    unmatched_computed = tuple(e for e in report.entries if e.rank not in claimed)
+            reason = f"catalog cardinality {record.cardinality} vs computed {entry.cardinality}"
+            return RecordCheck(record, entry, inserted, reason)
+        return RecordCheck(record, entry, inserted)
+
+    checks = [check(record) for record in catalog.for_p(report.p)]
+    passed = [c for c in checks if not c.reason]
     return VerificationReport(
         report.p,
         report.d,
-        tuple(matched),
-        tuple(corrected),
-        tuple(mismatched),
-        tuple(unmatched),
-        unmatched_computed,
+        tuple(c for c in passed if c.inserted_arc is None),
+        tuple(c for c in passed if c.inserted_arc is not None),
+        tuple(c for c in checks if c.reason and c.entry is not None),
+        tuple(c for c in checks if c.entry is None),
+        tuple(e for e in report.entries if e.rank not in claimed),
     )
 
 

@@ -18,6 +18,7 @@ from .census import (
     Catalog,
     CensusEntry,
     CensusReport,
+    VerificationReport,
     _check_oracle_budget,
     _plain_ints,
     build_census,
@@ -70,9 +71,7 @@ def _catalog_rank_map(report: CensusReport) -> dict[int, int]:
     if not catalog.for_p(report.p):
         return {}
     verification = verify_against_catalog(report, catalog)
-    ranks = {m.entry.rank: m.record.rank for m in verification.matched}
-    ranks.update({c.entry.rank: c.record.rank for c in verification.corrected})
-    return ranks
+    return {c.entry.rank: c.record.rank for c in verification.matched + verification.corrected}
 
 
 def _record(report: CensusReport, entry: CensusEntry) -> dict:
@@ -234,8 +233,8 @@ def _cmd_census(args) -> int:
     return EXIT_OK
 
 
-def _verify_one(p: int, catalog: Catalog, out) -> tuple[bool, int, int, int]:
-    """Verify one node count; returns (ok, records, matched, corrected)."""
+def _verify_one(p: int, catalog: Catalog, out) -> tuple[bool, VerificationReport]:
+    """Verify one node count; returns (ok, its catalog verification)."""
     report = build_census(p, 2)
     oracle = oracle_census(p, 2)
     diff = compare_census(report, oracle)
@@ -259,7 +258,7 @@ def _verify_one(p: int, catalog: Catalog, out) -> tuple[bool, int, int, int]:
             print(f"  {canon}: analytic {card_a} vs oracle {card_b}", file=out)
     if not records:
         print(f"catalog: no records for p={p} (skipped)", file=out)
-        return not diff, 0, 0, 0
+        return not diff, verification
     print(
         f"catalog: {len(records)} records; matched {len(verification.matched)}, "
         f"corrected {len(verification.corrected)}, "
@@ -287,8 +286,7 @@ def _verify_one(p: int, catalog: Catalog, out) -> tuple[bool, int, int, int]:
             "has no catalog record",
             file=out,
         )
-    ok = not diff and verification.ok()
-    return ok, len(records), len(verification.matched), len(verification.corrected)
+    return not diff and verification.ok(), verification
 
 
 def _cmd_verify(args) -> int:
@@ -296,15 +294,14 @@ def _cmd_verify(args) -> int:
     node_counts = [args.p] if args.p is not None else list(catalog.node_counts())
     for p in node_counts:
         _check_oracle_budget(p, 2)
-    all_ok = True
-    records = matched = corrected = 0
+    results = []
     for p in node_counts:
-        ok, n_rec, n_match, n_corr = _verify_one(p, catalog, sys.stdout)
-        all_ok = all_ok and ok
-        records += n_rec
-        matched += n_match
-        corrected += n_corr
+        results.append(_verify_one(p, catalog, sys.stdout))
         print(file=sys.stdout)
+    all_ok = all(ok for ok, _ in results)
+    records = sum(len(catalog.for_p(p)) for p in node_counts)
+    matched = sum(len(v.matched) for _, v in results)
+    corrected = sum(len(v.corrected) for _, v in results)
     print(
         f"summary: {records} catalog records; {matched} matched directly, "
         f"{corrected} corrected",

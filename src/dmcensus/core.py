@@ -12,10 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# The node count is capped.  Canonical search prunes with the automorphisms it
-# finds, so symmetric inputs are no longer factorial (2*I_10 takes
-# milliseconds), but the census enumerations still grow steeply with p.  The
-# cap is generous: the desk-scale target is p <= 5.
+# The node count is capped.  The census and oracle budgets refuse large sizes
+# up front, but not census -p 11 -d 1: class_count(11, 1) is 56, under
+# census.CLASS_BUDGET, so the cap is its only refusal, and (10,1) already
+# takes 5.3-5.9 s.  The cap is also the only refusal of canonical_form on 11
+# or more nodes.
 NODE_CAP = 10
 
 # Every emitted count must fit a signed 64-bit integer so CSV/JSON consumers

@@ -44,6 +44,37 @@ def brute_aut_order(rows):
     )
 
 
+def naive_least_relabeling(rows):
+    """(least relabeling of rows, number of node orderings reaching it, which is |Aut|).
+
+    A depth-first search over node orderings, with no automorphism pruning
+    and no greedy incumbent.  A partial ordering of k nodes is dropped only
+    when its optimistic completion, each placed row's known entries followed
+    by its other entries sorted, is strictly greater than the first k rows
+    of the least leaf found so far, so every ordering that reaches the least
+    relabeling is counted.
+    """
+    best, count = None, 0
+    stack = [((), tuple(range(len(rows))))]  # (placed nodes, the others)
+    while stack:
+        order, rest = stack.pop()
+        placed = tuple(
+            tuple([rows[u][v] for v in order] + sorted([rows[u][v] for v in rest]))
+            for u in order
+        )
+        if best is not None and placed > best[: len(order)]:
+            continue
+        if rest:
+            stack.extend(
+                (order + (v,), rest[:i] + rest[i + 1 :]) for i, v in reversed(list(enumerate(rest)))
+            )
+        elif placed == best:
+            count += 1
+        else:
+            best, count = placed, 1
+    return best, count
+
+
 def brute_least_block(rows, p):
     """Least block over the orderings of the m = len(rows) known nodes of a
     p-column prefix, the free columns m..p-1 sorted by their vectors."""

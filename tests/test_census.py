@@ -2,6 +2,7 @@ import csv
 import gc
 import io
 import math
+import random
 import time
 import tracemalloc
 from collections import Counter
@@ -23,6 +24,7 @@ from dmcensus import (
     CountBudgetError,
     DegreeError,
     NodeCapError,
+    Permutation,
     build_census,
     canonical_form,
     class_count,
@@ -48,7 +50,7 @@ from dmcensus.census import (
     _group_by_canonical,
 )
 from dmcensus.generate import _canonical_rows, _result, _word_tally
-from oracles import word_tally
+from oracles import naive_least_relabeling, relabel, word_tally
 
 
 def test_census_two_nodes(census_d2):
@@ -390,6 +392,103 @@ def test_degree_one_class_counts_are_partition_numbers():
 def test_degree_three_censuses_agree():
     for p in range(4):
         assert not compare_census(build_census(p, 3), oracle_census(p, 3))
+
+
+def _naive_search_misses(report):
+    """The canonical matrices of report that the naive search, run on one seeded
+    relabeling of each, does not give back with |Aut| orderings reaching it."""
+    rng = random.Random(1)
+    misses = []
+    for entry in report.entries:
+        rows = entry.canonical.entries
+        order = rng.sample(range(report.p), report.p)
+        if naive_least_relabeling(relabel(rows, order)) != (rows, entry.aut_order):
+            misses.append(entry.canonical)
+    return misses
+
+
+@pytest.mark.parametrize("p, d, classes", [(5, 3, 1411), (4, 4, 501), (4, 5, 1826)])
+def test_naive_search_confirms_every_class_the_oracle_refuses(p, d, classes):
+    # Past the oracle's word budget, only the naive search, which shares no
+    # code with the generator, checks canonicity and |Aut| class by class.
+    with pytest.raises(CountBudgetError):
+        _check_oracle_budget(p, d)
+    report = build_census(p, d)
+    assert len(report.entries) == classes
+    assert _naive_search_misses(report) == []
+
+
+def test_naive_search_catches_a_generated_class_that_is_not_the_least_relabeling(monkeypatch):
+    # One (4,4) class leaves the generator relabeled by i -> 3 - i, with a
+    # result that agrees with it, so every check inside build_census holds.
+    def flip(rows):
+        return tuple(row[::-1] for row in rows[::-1])
+
+    stream = list(_canonical_rows(4, 4))
+    index = next(i for i, (rows, _) in enumerate(stream) if flip(rows) != rows)
+    rows, result = stream[index]
+    flipped = ArcMatrix(flip(rows))
+    stream[index] = (flipped.entries,
+                     replace(result, canonical=flipped, witness=Permutation.identity(4)))
+    monkeypatch.setattr(dmcensus.census, "_canonical_rows", lambda p, d: iter(stream))
+    monkeypatch.setattr(dmcensus.canonical, "_memo", {})  # the build stores the result
+    assert _naive_search_misses(build_census(4, 4)) == [flipped]
+
+
+def _components(rows):
+    """The node lists of the weak components of rows, by union-find over its nonzero cells."""
+    parent = list(range(len(rows)))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if x:
+                parent[root(i)] = root(j)
+    parts = {}
+    for v in range(len(rows)):
+        parts.setdefault(root(v), []).append(v)
+    return list(parts.values())
+
+
+def _euler_transform(connected):
+    """Counts of multisets of connected classes, by total size 0..len(connected) - 1,
+    from the connected counts by size (connected[0] is ignored)."""
+    top = len(connected) - 1
+    weighted = [0] + [
+        sum(m * connected[m] for m in range(1, k + 1) if k % m == 0) for k in range(1, top + 1)
+    ]
+    counts = [1]
+    for n in range(1, top + 1):
+        counts.append(sum(weighted[k] * counts[n - k] for k in range(1, n + 1)) // n)
+    return counts
+
+
+@pytest.mark.parametrize("d, top", [(2, 6), (1, 8), (3, 4)])
+def test_classes_are_multisets_of_connected_classes(d, top):
+    # Each weak component of a d-regular digraph is d-regular, so a class is
+    # a multiset of connected classes, and |Aut| of a disjoint union is the
+    # product of |Aut(c)|^m * m! over its component types.  At d = 2 the
+    # connected counts for p = 1..6 are 1, 2, 5, 14, 50, 265.
+    connected = [0] * (top + 1)
+    for p in range(1, top + 1):
+        for entry in build_census(p, d).entries:
+            rows = entry.canonical.entries
+            parts = _components(rows)
+            if len(parts) == 1:
+                connected[p] += 1
+                continue
+            types = Counter(
+                naive_least_relabeling(tuple(tuple(rows[i][j] for j in part) for i in part))
+                for part in parts
+            )
+            assert entry.aut_order == math.prod(
+                aut**m * math.factorial(m) for (_, aut), m in types.items()
+            ), entry.canonical
+    assert _euler_transform(connected) == [class_count(p, d) for p in range(top + 1)]
 
 
 def test_compare_census_reflexive(census_d2):

@@ -1,15 +1,36 @@
+import ast
 from pathlib import Path
 
 import dmcensus
 
 MAX_LINE = 100
+PACKAGE = sorted(Path(dmcensus.__file__).parent.glob("*.py"))
 
 
 def test_package_lines_fit_the_line_length():
     long_lines = [
         f"{path.name}:{number}: {len(line)} characters"
-        for path in sorted(Path(dmcensus.__file__).parent.glob("*.py"))
+        for path in PACKAGE
         for number, line in enumerate(path.read_text("utf-8").splitlines(), start=1)
         if len(line) > MAX_LINE
     ]
     assert long_lines == []
+
+
+def test_package_modules_use_every_name_they_import():
+    # A name imported and never read is left over from a deletion, unless
+    # __init__ imports it to re-export it through __all__.
+    unused = []
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text("utf-8"))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = set(dmcensus.__all__) if path.name == "__init__.py" else set()
+        unused += [f"{path.name}: {name}" for name in sorted(imported - read - exported)]
+    assert unused == []
