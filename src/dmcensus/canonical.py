@@ -2,14 +2,28 @@
 
 The canonical form of an arc matrix A is the lexicographically smallest matrix
 (row-major flattening, compared as an integer sequence) among all relabelings
-of A.  The search walks orderings of the original nodes depth-first, trying
-the unused nodes at each level in index order: placing node v at target
-position k fixes the top-left (k+1) x (k+1) block, and a branch is abandoned
-as soon as an optimistic completion of its first k rows already compares
-greater than the best matrix found so far.  The optimistic
-completion fills each undetermined row tail with that row's remaining entries
-in ascending order, which lower-bounds every true completion, so this bound
-pruning never removes a branch that holds a minimal leaf.
+of A.  An ordering of the nodes places node order[k] at position k.  The
+search walks the orderings depth-first and fixes one whole row of the
+relabeling per level, in the manner of individualization-refinement (McKay &
+Piperno, "Practical graph isomorphism, II", 2014).
+
+The unplaced nodes are held in an ordered list of cells, and every cell has
+been split by the row of each placed node, in ascending order of value, so
+each placed row is constant on each cell.  Below a prefix of k placed nodes,
+a relabeling makes row 0 least by sorting the unplaced columns by their entry
+in row 0, then row 1 by sorting each run of equal row-0 entries by row 1, and
+so on: an ordering keeps rows 0..k-1 least exactly when it takes the cells in
+order, and those rows are then the same whatever it does within a cell.  So
+the node at position k comes from the first cell.  For a candidate v there,
+row k is v's entries over the placed nodes, then its loop, then its entries
+over each cell, whose order within the cell is still free; sorted, they give
+v's least row.  The canonical matrix's rows 0..k-1 are the least any prefix
+allows, and given them its row k is the least row k of any prefix with those
+rows.  So the walk follows only the candidates that give the least row k.
+Every node it reaches has rows 0..k-1 equal to the incumbent's, so that row
+is held against the incumbent's row k: a greater row drops the node, and a
+smaller one replaces the incumbent's row k and drops its deeper rows, which
+the walk below fills in again.  The chosen node's row then splits each cell.
 
 The search also prunes with the automorphisms it finds (McKay, "Practical
 Graph Isomorphism", 1981; McKay & Piperno, 2014).  Let `first` be the first
@@ -19,51 +33,43 @@ automorphism of A when the incumbent later improves.  If `order` first leaves
 `first` at level L, g fixes first[:L] pointwise and maps the subtree of
 first's child at level L onto the current child, so the rest of that child is
 skipped (backjump).  At a node with prefix P, a candidate in the orbit of an
-already tried sibling under the generators that fix P pointwise is skipped:
-its subtree is the image of that sibling's.  Neither cut removes the first
-minimal leaf in DFS order, since every minimal leaf it removes is the image
-of an earlier one, so the result and its witness do not depend on pruning.
-The witness, the final `first`, is therefore the node-index-least ordering
-(as a sequence of nodes) whose relabeling is the canonical matrix.  The
-order in which children are tried cannot change the canonical matrix or
-|Aut|, only which minimal leaf comes first.
+already followed sibling under the generators that fix P pointwise is
+skipped: its subtree is the image of that sibling's.  Cells and least rows
+are made from the matrix alone, so an automorphism that fixes P maps one
+child's cells, rows and subtree onto the other's.  Neither cut removes the
+first minimal leaf in DFS order, since every minimal leaf it removes is the
+image of an earlier one, and every minimal ordering takes at each level a
+node of the first cell that gives the least row, so the walk reaches it.
+Candidates are tried in index order, so the witness, the final `first`, is
+the node-index-least ordering (as a sequence of nodes) whose relabeling is
+the canonical matrix.
 
 |Aut(A)| is the orbit-stabilizer product, over the levels L of the final
 `first` (the first minimal leaf), of the size of the orbit of first[L] under
 the found generators that fix first[:L] pointwise.  With the full pointwise
 stabilizer in place of the found generators the product is |Aut(A)|.  The
-found generators give the same orbit: a node w in the full orbit heads a
-child of first[:L] that holds a minimal leaf.  That child is either entered,
-and the first minimal leaf found in it yields a generator that fixes
-first[:L] and maps first[L] to w, or it is skipped as the image of a tried
-sibling under found generators that fix first[:L], and that sibling holds a
-minimal leaf too.
+found generators give the same orbit: a node w in the full orbit lies in
+first[L]'s cell and gives its row, so it heads a followed child of first[:L]
+that holds a minimal leaf.  That child is either entered, and the first
+minimal leaf found in it yields a generator that fixes first[:L] and maps
+first[L] to w, or it is skipped as the image of a followed sibling under
+found generators that fix first[:L], and that sibling holds a minimal leaf
+too.
 
-The search starts from a greedy incumbent, not from the input
-(_greedy_leaf): at each position it places the unused node least by the
-optimistic completion, ties to the least node.  Branch and bound prunes only
-as well as its incumbent allows (McKay 1981), and a good first incumbent
-leaves fewer improving leaves and fewer branches to walk.  Only the starting
-incumbent changes.  The DFS still replaces it at a leaf strictly below it,
-sets `first` at the first leaf equal to it, takes generators only once
-`first` is set, and prunes by the bound only where the bound is strictly
-greater, which never removes a minimal leaf.  The arguments above hold for
-any starting incumbent no smaller than the canonical matrix, so the
-canonical matrix, |Aut| and the witness are those of a search from the input.
-
-The same walk is the prefix test of orderly generation
-(_accepting_walk).  Given the top m rows of a p x p matrix, it tries
-the orderings of the m known nodes and puts the free nodes m..p-1 after
-them, sorted by their columns' vectors over the ordered rows, which is the
-least arrangement of those columns.  A block below the given rows is the
-top of a relabeling of every completion, so the prefix starts no canonical
-matrix, and the walk stops there; at m = p it is the full canonicity test.
-The bound carries over, as a row tail still holds the row's entries over
-the unused and free nodes.  So does the pruning: two orderings with equal
-blocks differ by a map of the known nodes that keeps the block and the
-multiset of free columns, and composed with any ordering that map gives an
-ordering with the same block, which is all the orbit and backjump cuts
-need.
+The same walk is the prefix test of orderly generation (_accepting_walk).
+Given the top m rows of a p x p matrix, it tries the orderings of the m known
+nodes and puts the free nodes m..p-1 after them, sorted by their columns'
+vectors over the ordered rows, which is the least arrangement of those
+columns.  The free nodes are trailing cells: they start as one cell after the
+known ones, each placed row splits them like any cell, and each row ends with
+its sorted entries over them, but they never supply a candidate.  The
+incumbent is the given rows.  A block below them is the top of a relabeling
+of every completion, so the prefix starts no canonical matrix, and the walk
+stops at the first row below the given one; at m = p it is the full
+canonicity test.  The pruning carries over: two orderings with equal blocks
+differ by a map of the known nodes that keeps the block and the multiset of
+free columns, and composed with any ordering that map gives an ordering with
+the same block, which is all the orbit and backjump cuts need.
 
 At m = p the walk that accepts a canonical matrix never improves its
 incumbent, the matrix itself, so it is the full search from that incumbent:
@@ -89,10 +95,11 @@ from dataclasses import dataclass
 from .core import ArcMatrix, CensusInvariantError, Permutation, check_node_cap
 
 # Memo capacity.  Measured traffic is a few hundred distinct inputs per job
-# (see above).  With the census built by orderly generation the memo still
-# pays: a cold census-d2 bench round took 0.076-0.078 s scaled with it and
-# 0.103-0.108 s with a size of 1 (6 alternating pairs of 8 s runs, seeds 3-8,
-# one pinned core of a 2-vCPU host).  The size is headroom for callers that
+# (see above).  With the census built by orderly generation and the
+# refinement walk the memo still pays: a cold census-d2 bench round took
+# 0.058-0.061 s scaled with it and 0.078-0.080 s with a size of 0, which
+# stores nothing (4 alternating pairs of 8 s runs, seeds 1301-1304, one
+# pinned core of a 2-vCPU host).  The size is headroom for callers that
 # canonicalize many labeled matrices themselves; the bound keeps memory flat
 # beyond it.
 _MEMO_SIZE = 2**15
@@ -120,112 +127,89 @@ def _orbit_cells(gens: list[list[int]], fixed, p: int) -> list[int]:
     return cell
 
 
-def _greedy_leaf(rows: tuple[tuple[int, ...], ...]) -> list[int]:
-    """The relabeling, row-major, of the ordering that takes at each position
-    the unused node least by the optimistic completion, ties to the least node.
-
-    A node v at position k adds its column over the placed rows, then its row
-    over the placed nodes, its loop count and the rest of its row, the order
-    in which the optimistic completion of rows 0..k compares them: where two
-    candidates' columns agree, the placed rows keep equal tails.
-    """
-    order, unused = [], list(range(len(rows)))
-
-    def key(v):
-        row = rows[v]
-        return ([rows[a][v] for a in order], [row[a] for a in order], row[v],
-                sorted(row[u] for u in unused if u != v))
-
-    while unused:
-        v = min(unused, key=key)
-        order.append(v)
-        unused.remove(v)
-    return [rows[a][b] for a in order for b in order]
-
-
 def _least_block(rows: tuple[tuple[int, ...], ...], p: int, stop: bool):
     """Walk the orderings of the known nodes 0..m-1, m = len(rows) <= p.
 
     An ordering places the known nodes at positions 0..m-1 and the free
     nodes m..p-1 after them in the order of their columns' vectors over the
     ordered rows, the least such block.  Returns (best, first, gens): the
-    least m x p block found (row-major), its first leaf and the automorphisms
+    rows of the least m x p block, its first leaf and the automorphisms
     found.  With stop, the incumbent is rows, and the walk returns None at
-    the first block below it instead; without stop (a full search, m = p),
-    the incumbent is the greedy leaf.
+    the first row below it instead; without stop (a full search, m = p), a
+    level's incumbent is the first least row found there.
     """
     m = len(rows)
-    best = [x for row in rows for x in row] if stop else _greedy_leaf(rows)
+    best = [list(row) for row in rows] if stop else []  # the incumbent, row by row
     first: tuple[int, ...] | None = None  # first leaf found that equals best
     gens: list[list[int]] = []  # automorphisms found, as node maps
     order: list[int] = []
-    unused = set(range(p))  # free nodes stay in: they fill every row tail
 
-    def exceeds_best(k: int) -> bool:
-        # Compare the optimistic completion of rows 0..k-1 against the
-        # incumbent; the first differing entry decides.
-        base = 0
-        for a in range(k):
-            row = rows[order[a]]
-            for j in range(k):
-                x, y = row[order[j]], best[base + j]
-                if x != y:
-                    return x > y
-            tail = sorted(map(row.__getitem__, unused))
-            incumbent = best[base + k : base + p]
-            if tail != incumbent:
-                return tail > incumbent
-            base += p
-        return False
-
-    def dfs() -> int:
+    def dfs(cells) -> int:
         # Returns the level to resume at: p when done normally, L < m after
         # an automorphism is found whose leaf first leaves `first` at level
         # L, so that level's current child is abandoned, and -1 to stop.
         nonlocal first
         k = len(order)
         if k == m:
-            placed = [rows[v] for v in order]
-            flat = [row[v] for row in placed for v in order]
-            if m < p:
-                tails = list(zip(*sorted(zip(*[row[m:] for row in placed]))))
-                flat = [x for a in range(m) for x in (*flat[a * m : a * m + m], *tails[a])]
-            if flat < best:
-                if stop:
-                    return -1
-                best[:] = flat
+            if first is None:
                 first = tuple(order)
-            elif flat == best:
-                if first is None:
-                    first = tuple(order)
-                    return p
-                g = [0] * m
-                for a, b in zip(first, order):
-                    g[a] = b
-                gens.append(g)
-                return next(level for level in range(m) if order[level] != first[level])
-            return p
+                return p
+            g = [0] * m
+            for a, b in zip(first, order):
+                g[a] = b
+            gens.append(g)
+            return next(level for level in range(m) if order[level] != first[level])
+        head, rest = cells[0], cells[1:]
+        found = []  # each candidate's least row k
+        for v in head:
+            r = rows[v]
+            row = [r[u] for u in order]
+            row.append(r[v])
+            row += sorted([r[w] for w in head if w != v])
+            for cell in rest:
+                row += sorted(map(r.__getitem__, cell))
+            found.append(row)
+        least = min(found)
+        if k < len(best) and least != best[k]:
+            if least > best[k]:
+                return p
+            if stop:
+                return -1
+            del best[k:]
+            first = None
+        if k == len(best):
+            best.append(least)
         tried: list[int] = []
-        known_gens, cells = 0, None
-        for v in sorted(unused):
-            if v >= m:
-                break
+        known_gens, orbits = 0, None
+        for v, row in zip(head, found):
+            if row != least:
+                continue
             if gens:
                 if known_gens != len(gens):
-                    known_gens, cells = len(gens), _orbit_cells(gens, order, m)
-                if any(cells[u] == cells[v] for u in tried):
+                    known_gens, orbits = len(gens), _orbit_cells(gens, order, m)
+                if any(orbits[u] == orbits[v] for u in tried):
                     continue
             tried.append(v)
+            r = rows[v]
+            split = []  # each cell split by row k, ascending
+            for cell in cells:
+                if len(cell) == 1:
+                    if cell[0] != v:
+                        split.append(cell)
+                    continue
+                groups: dict[int, list[int]] = {}
+                for w in cell:
+                    if w != v:
+                        groups.setdefault(r[w], []).append(w)
+                split += (groups[x] for x in sorted(groups))
             order.append(v)
-            unused.remove(v)
-            level = p if exceeds_best(k + 1) else dfs()
-            unused.add(v)
+            level = dfs(split)
             order.pop()
             if level < k:
                 return level
         return p
 
-    stopped = dfs() < 0
+    stopped = dfs([cell for cell in (list(range(m)), list(range(m, p))) if cell]) < 0
     del dfs  # dfs refers to itself through its cell; break that cycle
     return None if stopped else (best, first, gens)
 
@@ -240,11 +224,10 @@ def _result(rows: tuple[tuple[int, ...], ...], best, first, gens) -> CanonicalRe
         for level, v in enumerate(first):
             cells = _orbit_cells(gens, first[:level], p)
             aut_order *= cells.count(cells[v])
-    canon = tuple(tuple(best[a * p : (a + 1) * p]) for a in range(p))
     images = [0] * p
     for position, v in enumerate(first):
         images[v] = position
-    return CanonicalResult(ArcMatrix(canon), aut_order, Permutation(tuple(images)))
+    return CanonicalResult(ArcMatrix(best), aut_order, Permutation(tuple(images)))
 
 
 def _accepting_walk(rows: tuple[tuple[int, ...], ...], p: int):
@@ -252,19 +235,8 @@ def _accepting_walk(rows: tuple[tuple[int, ...], ...], p: int):
 
     Some relabeling of every completion starts with a block below rows when
     an ordering of the known nodes 0..m-1 gives one; at m = p this is the full
-    canonicity test.  Two cheap checks come before the walk.  The identity
-    ordering: the free columns m..p-1 must already ascend by their vectors
-    over the rows.  The top row: an ordering that starts at node v can make
-    it v's loop count, then v's other known entries ascending, then its free
-    entries ascending, which must not fall below rows[0].
+    canonicity test.
     """
-    m = len(rows)
-    free = list(zip(*[row[m:] for row in rows]))
-    if any(a > b for a, b in zip(free, free[1:])):
-        return None
-    for v, row in enumerate(rows):
-        if (row[v], *sorted(row[:v] + row[v + 1 : m]), *sorted(row[m:])) < rows[0]:
-            return None
     return _least_block(rows, p, stop=True)
 
 
@@ -273,7 +245,8 @@ _memo: dict[tuple[tuple[int, ...], ...], CanonicalResult] = {}
 
 
 def _remember(rows: tuple[tuple[int, ...], ...], result: CanonicalResult) -> None:
-    """Memoize the result for rows, dropping the oldest entry when the memo is full.
+    """Memoize the result for rows, dropping the oldest entry when the memo is
+    full; a size of 0 stores nothing.
 
     The witness must carry rows onto the canonical form, canon[w(i)][w(j)] ==
     rows[i][j]; a result that fails this raises CensusInvariantError and is
@@ -285,9 +258,10 @@ def _remember(rows: tuple[tuple[int, ...], ...], result: CanonicalResult) -> Non
         raise CensusInvariantError(
             f"witness {images} does not carry {ArcMatrix(rows)} onto {result.canonical}"
         )
-    if rows not in _memo and len(_memo) >= _MEMO_SIZE:
-        del _memo[next(iter(_memo))]
-    _memo[rows] = result
+    if _MEMO_SIZE:
+        if rows not in _memo and len(_memo) >= _MEMO_SIZE:
+            del _memo[next(iter(_memo))]
+        _memo[rows] = result
 
 
 def canonical_form(matrix: ArcMatrix) -> CanonicalResult:

@@ -193,10 +193,11 @@ def _finish_report(p: int, d: int, classes: dict[ArcMatrix, tuple[int, int]]) ->
 # anything is generated.  Orderly generation costs about one prefix test per
 # row tried, so time follows the classes and the prefixes rejected around
 # them.  The budget is set from the sizes it admits, all timed on one core
-# of a 2-vCPU host: the slowest are (10,1), 42 classes in 5.3-5.9 s of
-# CPU, (7,2), 2,183 classes in 3.6-4.1 s, and (4,6), 5,822 classes in
-# 0.9-1.0 s.  The nearest class counts above it are 15,129 at (8,2), 16,389
-# at (4,7), 19,158 at (5,4) and 30,335 at (6,3).
+# of a 2-vCPU host (tools/time_builds.py): the slowest are (7,2), 2,183
+# classes in 1.2-1.6 s of CPU, (4,6), 5,822 classes in 0.5-0.8 s, and
+# (10,1), 42 classes in 0.1-0.2 s.  The nearest class counts above it are
+# 15,129 at (8,2), whose generator alone takes 9-12 s, 16,389 at (4,7),
+# 19,158 at (5,4) and 30,335 at (6,3); those last three are not timed yet.
 CLASS_BUDGET = 10_000
 
 

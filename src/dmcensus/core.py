@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 # The node count is capped.  The census and oracle budgets refuse large sizes
 # up front, but not census -p 11 -d 1: class_count(11, 1) is 56, under
-# census.CLASS_BUDGET, so the cap is its only refusal, and (10,1) already
-# takes 5.3-5.9 s.  The cap is also the only refusal of canonical_form on 11
-# or more nodes.
+# census.CLASS_BUDGET, so the cap is its only refusal; (10,1) takes 0.1-0.2 s
+# of CPU on one core of a 2-vCPU host (tools/time_builds.py).  The cap is
+# also the only refusal of canonical_form on 11 or more nodes.
 NODE_CAP = 10
 
 # Every emitted count must fit a signed 64-bit integer so CSV/JSON consumers

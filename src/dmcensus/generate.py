@@ -7,9 +7,11 @@ across runs.  The two matrix streams share one row fill, _regular_rows:
 enumerate_regular_matrices keeps every row that fits, and _canonical_rows
 keeps only the row prefixes that can still start a canonical matrix and the
 whole matrices that are canonical (orderly generation: Read 1978; Faradzev
-1978; the test is canonical._accepting_walk, and the walk that accepts a
-whole matrix gives its canonical._result), so it yields each class's
-canonical matrix once, in rank order, and never lists the labeled matrices.
+1978; the test is canonical._accepting_walk, a refinement walk that fixes
+one row of the least relabeling per level and stops at the first row below
+the given one, and the walk that accepts a whole matrix gives its
+canonical._result), so it yields each class's canonical matrix once, in
+rank order, and never lists the labeled matrices.
 Two exact counts share one DP, _fixed_matrices, which counts the matrices a
 relabeling of a given cycle type fixes, and neither shares code with the
 streams: count_regular_matrices is its value at the identity, the length of

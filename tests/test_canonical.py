@@ -5,7 +5,6 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
-from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -18,6 +17,7 @@ from dmcensus import (
     NodeCapError,
     Permutation,
     apply_permutation,
+    build_census,
     canonical_form,
     enumerate_regular_matrices,
 )
@@ -25,7 +25,6 @@ import dmcensus.canonical
 from dmcensus.canonical import (
     _MEMO_SIZE,
     _accepting_walk,
-    _greedy_leaf,
     _memo,
     _remember,
     clear_cache,
@@ -45,6 +44,14 @@ def random_permutation(rng, p):
     images = list(range(p))
     rng.shuffle(images)
     return Permutation(tuple(images))
+
+
+def brute_images(rows):
+    """The images of brute_witness(rows), as a Permutation holds them."""
+    images = [0] * len(rows)
+    for position, v in enumerate(brute_witness(rows)):
+        images[v] = position
+    return tuple(images)
 
 
 def test_null_graph():
@@ -89,10 +96,7 @@ def test_exhaustive_agreement_with_brute_force(p, d):
                                  (2, 3), (3, 3)])
 def test_witness_is_the_least_minimal_ordering(p, d):
     for m in enumerate_regular_matrices(p, d):
-        images = [0] * p
-        for position, v in enumerate(brute_witness(m.entries)):
-            images[v] = position
-        assert canonical_form(m).witness.images == tuple(images)
+        assert canonical_form(m).witness.images == brute_images(m.entries)
 
 
 @pytest.mark.parametrize("p,d", [(2, 2), (3, 2), (4, 2), (3, 3), (4, 1), (5, 1)])
@@ -106,22 +110,29 @@ def test_prefix_test_agrees_with_brute_force(p, d):
 
 
 @pytest.mark.parametrize("p, d", [(5, 2), (6, 1), (7, 1)])
-def test_search_from_a_greedy_incumbent_agrees_with_brute_force(p, d):
-    # a seeded relabeling of every class; the search starts from its greedy
-    # leaf, not from the input
+def test_search_of_a_relabeling_of_every_class_agrees_with_brute_force(p, d):
     rng = random.Random(p * 10 + d)
-    inputs = [apply_permutation(ArcMatrix(rows), random_permutation(rng, p))
-              for rows, _ in _canonical_rows(p, d)]
-    inputs = [m for m in inputs if _greedy_leaf(m.entries) != list(chain(*m.entries))]
-    assert len(inputs) >= {(5, 2): 80, (6, 1): 10, (7, 1): 14}[p, d]
-    for m in inputs:
+    for rows, _ in _canonical_rows(p, d):
+        m = apply_permutation(ArcMatrix(rows), random_permutation(rng, p))
         result = canonical_form(m)
         assert result.canonical.entries == brute_canonical(m.entries)
         assert result.aut_order == brute_aut_order(m.entries)
-        images = [0] * p
-        for position, v in enumerate(brute_witness(m.entries)):
-            images[v] = position
-        assert result.witness.images == tuple(images)
+        assert result.witness.images == brute_images(m.entries)
+
+
+@pytest.mark.parametrize("cycles, aut", [((10,), 10), ((2, 8), 16)])
+def test_long_cycles_share_one_canonical_form(cycles, aut):
+    # d = 1 matrices whose rows each hold a single 1, where a row-tail bound
+    # hardly prunes; |Aut| is the order of the permutation's centralizer
+    images, start = [], 0
+    for length in cycles:
+        images += [start + (i + 1) % length for i in range(length)]
+        start += length
+    m = ArcMatrix(tuple(tuple(int(j == image) for j in range(10)) for image in images))
+    rng = random.Random(sum(cycles) * len(cycles))
+    results = [canonical_form(apply_permutation(m, random_permutation(rng, 10)))
+               for _ in range(5)]
+    assert {(r.canonical, r.aut_order) for r in results} == {(canonical_form(m).canonical, aut)}
 
 
 def test_sampled_agreement_with_brute_force_p5():
@@ -289,6 +300,18 @@ def test_memo_is_bounded(monkeypatch):
     assert _MEMO_SIZE >= sum(1 for p in range(6) for _ in enumerate_regular_matrices(p, 2))
 
 
+def test_memo_of_size_zero_stores_nothing(monkeypatch):
+    clear_cache()
+    matrices = list(enumerate_regular_matrices(4, 1))
+    results = [canonical_form(m) for m in matrices]
+    report = build_census(4, 2)
+    clear_cache()
+    monkeypatch.setattr(dmcensus.canonical, "_MEMO_SIZE", 0)
+    assert [canonical_form(m) for m in matrices] == results
+    assert build_census(4, 2) == report
+    assert not _memo
+
+
 def wrong_witness(m):
     """canonical_form(m) with its witness followed by the swap of nodes 0 and 1."""
     result = canonical_form(m)
@@ -360,3 +383,4 @@ def test_canonical_search_fuzz(case):
     if m.p <= 6:
         assert result.canonical.entries == brute_canonical(m.entries)
         assert result.aut_order == brute_aut_order(m.entries)
+        assert result.witness.images == brute_images(m.entries)

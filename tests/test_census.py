@@ -389,19 +389,27 @@ def test_degree_one_class_counts_are_partition_numbers():
             assert e.cardinality == math.factorial(p) // e.aut_order
 
 
+def test_ten_node_degree_one_census():
+    # the largest node count admitted; build_census checks its 42 classes and
+    # 10! labeled matrices against class_count and count_regular_matrices
+    report = build_census(10, 1)
+    assert len(report.entries) == 42
+    assert sum(e.labeled_matrix_count for e in report.entries) == math.factorial(10)
+
+
 def test_degree_three_censuses_agree():
     for p in range(4):
         assert not compare_census(build_census(p, 3), oracle_census(p, 3))
 
 
-def _naive_search_misses(report):
-    """The canonical matrices of report that the naive search, run on one seeded
-    relabeling of each, does not give back with |Aut| orderings reaching it."""
+def _naive_search_misses(entries):
+    """The canonical matrices of census entries that the naive search, run on one
+    seeded relabeling of each, does not give back with |Aut| orderings reaching it."""
     rng = random.Random(1)
     misses = []
-    for entry in report.entries:
+    for entry in entries:
         rows = entry.canonical.entries
-        order = rng.sample(range(report.p), report.p)
+        order = rng.sample(range(len(rows)), len(rows))
         if naive_least_relabeling(relabel(rows, order)) != (rows, entry.aut_order):
             misses.append(entry.canonical)
     return misses
@@ -415,7 +423,14 @@ def test_naive_search_confirms_every_class_the_oracle_refuses(p, d, classes):
         _check_oracle_budget(p, d)
     report = build_census(p, d)
     assert len(report.entries) == classes
-    assert _naive_search_misses(report) == []
+    assert _naive_search_misses(report.entries) == []
+
+
+def test_naive_search_confirms_a_sample_of_the_largest_degree_two_census():
+    # (7,2) is past the oracle's reach as well; a seeded sample keeps it quick
+    report = build_census(7, 2)
+    assert len(report.entries) == 2183
+    assert _naive_search_misses(random.Random(72).sample(report.entries, 150)) == []
 
 
 def test_naive_search_catches_a_generated_class_that_is_not_the_least_relabeling(monkeypatch):
@@ -432,7 +447,7 @@ def test_naive_search_catches_a_generated_class_that_is_not_the_least_relabeling
                      replace(result, canonical=flipped, witness=Permutation.identity(4)))
     monkeypatch.setattr(dmcensus.census, "_canonical_rows", lambda p, d: iter(stream))
     monkeypatch.setattr(dmcensus.canonical, "_memo", {})  # the build stores the result
-    assert _naive_search_misses(build_census(4, 4)) == [flipped]
+    assert _naive_search_misses(build_census(4, 4).entries) == [flipped]
 
 
 def _components(rows):

@@ -1,0 +1,110 @@
+"""Time the census builds the bench does not run, and write the numbers as JSON.
+
+    python3 tools/time_builds.py --out BENCH_<n>.json
+
+Run it from the root of a checkout; it imports dmcensus from the checkout's
+src/.  Each size is measured RUNS times, each time in a fresh child process
+pinned to one CPU, so that its CPU time (time.process_time) and peak RSS are
+its own:
+
+- build_census at (5,2), (7,2), (10,1) and (4,6), the census with all of its
+  checks, including the class count and the labeled count;
+- the orderly generator alone at (8,2), which census.CLASS_BUDGET refuses:
+  its classes must number class_count(8, 2), and their p!/|Aut| must sum to
+  count_regular_matrices(8, 2).
+
+The output file names the CPU model and the Python version, and holds one
+record per size with every run's CPU seconds, their minimum and median, the
+peak RSS and whether the exact counts held.
+The command exits with status 1 when a count does not.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import platform
+import resource
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+RUNS = 3
+SIZES = (("build", 5, 2), ("build", 7, 2), ("build", 10, 1), ("build", 4, 6),
+         ("generator", 8, 2))
+
+
+def measure(kind: str, p: int, d: int) -> dict:
+    """Build the census (kind "build") or run the generator alone (kind
+    "generator") at (p, d) in this process; returns its CPU seconds, classes,
+    whether the exact counts held, and the process's peak RSS so far."""
+    from dmcensus import build_census
+    from dmcensus.canonical import clear_cache
+    from dmcensus.generate import _canonical_rows, class_count, count_regular_matrices
+
+    clear_cache()
+    start = time.process_time()
+    if kind == "build":
+        classes = len(build_census(p, d).entries)  # raises if a count is off
+        exact = True
+    else:
+        classes = labeled = 0
+        for _, result in _canonical_rows(p, d):
+            classes += 1
+            labeled += math.factorial(p) // result.aut_order
+        exact = (classes, labeled) == (class_count(p, d), count_regular_matrices(p, d))
+    cpu_s = time.process_time() - start
+    return {"kind": kind, "p": p, "d": d, "classes": classes, "exact": exact, "cpu_s": cpu_s,
+            "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+
+
+def measure_in_child(kind: str, p: int, d: int) -> dict:
+    """measure(kind, p, d) in a fresh interpreter pinned to this process's first CPU."""
+    code = (f"import json, os, sys; os.sched_setaffinity(0, {{{min(os.sched_getaffinity(0))}}}); "
+            f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r}); "
+            f"from time_builds import measure; print(json.dumps(measure({kind!r}, {p}, {d})))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    return json.loads(done.stdout)
+
+
+def cpu_model() -> str:
+    """The CPU model as /proc/cpuinfo names it, else the machine type."""
+    try:
+        lines = Path("/proc/cpuinfo").read_text().splitlines()
+    except OSError:
+        lines = []
+    names = [line.split(":", 1)[1].strip() for line in lines if line.startswith("model name")]
+    return names[0] if names else platform.machine()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    records = []
+    for kind, p, d in SIZES:
+        runs = [measure_in_child(kind, p, d) for _ in range(RUNS)]
+        times = [run["cpu_s"] for run in runs]
+        record = {"kind": kind, "p": p, "d": d, "classes": runs[0]["classes"],
+                  "exact": all(run["exact"] for run in runs),
+                  "cpu_s": times, "cpu_s.min": min(times), "cpu_s.median": statistics.median(times),
+                  "peak_rss_mib": max(run["peak_rss_mib"] for run in runs)}
+        records.append(record)
+        print(f"{kind} ({p},{d}): {record['classes']} classes, exact {record['exact']}, "
+              f"CPU min {min(times):.2f} s, median {record['cpu_s.median']:.2f} s, "
+              f"peak RSS {record['peak_rss_mib']:.1f} MiB", flush=True)
+    header = {"cpu": f"one pinned core of {cpu_model()}",
+              "python": platform.python_version(), "runs": RUNS}
+    args.out.write_text(json.dumps({**header, "sizes": records}, indent=1) + "\n")
+    return 0 if all(record["exact"] for record in records) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
