@@ -56,7 +56,7 @@ first[L] to w, or it is skipped as the image of a followed sibling under
 found generators that fix first[:L], and that sibling holds a minimal leaf
 too.
 
-The same walk is the prefix test of orderly generation (_accepting_walk).
+The same walk, with stop, is the prefix test of orderly generation.
 Given the top m rows of a p x p matrix, it tries the orderings of the m known
 nodes and puts the free nodes m..p-1 after them, sorted by their columns'
 vectors over the ordered rows, which is the least arrangement of those
@@ -136,7 +136,8 @@ def _least_block(rows: tuple[tuple[int, ...], ...], p: int, stop: bool):
     rows of the least m x p block, its first leaf and the automorphisms
     found.  With stop, the incumbent is rows, and the walk returns None at
     the first row below it instead; without stop (a full search, m = p), a
-    level's incumbent is the first least row found there.
+    level's incumbent is the first least row found there.  With stop this is
+    orderly generation's prefix test, and at m = p the full canonicity test.
     """
     m = len(rows)
     best = [list(row) for row in rows] if stop else []  # the incumbent, row by row
@@ -228,16 +229,6 @@ def _result(rows: tuple[tuple[int, ...], ...], best, first, gens) -> CanonicalRe
     for position, v in enumerate(first):
         images[v] = position
     return CanonicalResult(ArcMatrix(best), aut_order, Permutation(tuple(images)))
-
-
-def _accepting_walk(rows: tuple[tuple[int, ...], ...], p: int):
-    """The walk of the prefix test, (best, first, gens), when it accepts rows, else None.
-
-    Some relabeling of every completion starts with a block below rows when
-    an ordering of the known nodes 0..m-1 gives one; at m = p this is the full
-    canonicity test.
-    """
-    return _least_block(rows, p, stop=True)
 
 
 # rows -> CanonicalResult, oldest first, at most _MEMO_SIZE entries

@@ -33,7 +33,11 @@ word with a wrong multiset projects to a non-regular matrix, so its class
 fails this check (or the orbit-stabilizer one).
 
 A CensusEntry stores its ClassId, canonical matrix and |Aut|; every other
-count is derived.  compare_census is where the search meets brute force:
+count is derived, its weight as the cardinality over the p!/|Aut| labeled
+matrices.  The division is exact, made so by build_census, the oracle's
+even split and the CLI's record check (see CensusEntry), so core.weight
+runs only where a matrix enters: in build_census and that record parser.
+compare_census is where the search meets brute force:
 the oracle shares no code with the canonical search, so equal canonical
 keys check that each generated canonical matrix is the least relabeling,
 and equal cardinalities check the build's (p!/|Aut|) * weight against the
@@ -81,7 +85,13 @@ from .monomial import (
 
 @dataclass(frozen=True)
 class CensusEntry:
-    """One isomorphism class; the counts beyond ClassId and |Aut| are derived."""
+    """One isomorphism class; the counts beyond ClassId and |Aut| are derived.
+
+    The cardinality divides exactly over the p!/|Aut| labeled matrices:
+    build_census makes it (p!/|Aut|) * core.weight, the oracle's grouping
+    refuses words that do not split evenly, and the CLI's record parser
+    checks it against core.weight before it makes the entry.
+    """
 
     class_id: ClassId
     canonical: ArcMatrix
@@ -106,9 +116,8 @@ class CensusEntry:
 
     @property
     def weight(self) -> int:
-        """weight(canonical, d), with d read off the canonical's row sum."""
-        rows = self.canonical.entries
-        return weight(self.canonical, sum(rows[0])) if rows else 1
+        """The configuration words per labeled matrix, cardinality / (p!/|Aut|)."""
+        return self.cardinality // self.labeled_matrix_count
 
     @property
     def representative(self) -> Monomial:

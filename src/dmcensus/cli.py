@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 from .canonical import canonical_form
@@ -35,6 +36,7 @@ from .core import (
     CountBudgetError,
     ResourceLimitError,
     total_configurations,
+    weight,
 )
 from .monomial import monomial_to_matrix, parse_monomial
 
@@ -94,7 +96,7 @@ def _report_from_records(records: list[dict], source: str) -> CensusReport:
     Raises ValueError unless the records are the d-regular classes of one
     (p, d) census, p <= NODE_CAP, ranked 1, 2, ... by ascending canonical
     matrix.  Each monomial must be the canonical form of its class and carry
-    the computed |Aut| and the derived matrix, weight and cardinality; the
+    the computed |Aut| and the derived matrix, core.weight and cardinality; the
     cardinalities must sum to total_configurations(p, d).
     """
     if not records:
@@ -128,14 +130,13 @@ def _report_from_records(records: list[dict], source: str) -> CensusReport:
             aut_order = record["aut_order"]
             if result.aut_order != aut_order:
                 raise ValueError(f"aut_order {aut_order} is not the computed {result.aut_order}")
-            entry = CensusEntry(ClassId(p, rank, record["cardinality"]), canonical, aut_order)
-            wt = entry.weight
-            derived = (wt, entry.labeled_matrix_count * wt)
+            wt = weight(canonical, d)
+            derived = (wt, math.factorial(p) // aut_order * wt)
             if (record["weight"], record["cardinality"]) != derived:
                 raise ValueError(f"weight and cardinality are not the derived {derived}")
         except ValueError as exc:
             raise ValueError(f"{source} record {rank}: {exc}") from None
-        entries.append(entry)
+        entries.append(CensusEntry(ClassId(p, rank, record["cardinality"]), canonical, aut_order))
     report = CensusReport(p, d, tuple(entries))
     try:
         expected = total_configurations(p, d)
@@ -233,7 +234,7 @@ def _cmd_census(args) -> int:
     return EXIT_OK
 
 
-def _verify_one(p: int, catalog: Catalog, out) -> tuple[bool, VerificationReport]:
+def _verify_one(p: int, catalog: Catalog) -> tuple[bool, VerificationReport]:
     """Verify one node count; returns (ok, its catalog verification)."""
     report = build_census(p, 2)
     oracle = oracle_census(p, 2)
@@ -241,50 +242,44 @@ def _verify_one(p: int, catalog: Catalog, out) -> tuple[bool, VerificationReport
     verification = verify_against_catalog(report, catalog)
     records = catalog.for_p(p)
 
-    print(f"== p={p}, d=2 ==", file=out)
-    print(
-        f"computed: {len(report.entries)} classes, total {report.total}",
-        file=out,
-    )
+    print(f"== p={p}, d=2 ==")
+    print(f"computed: {len(report.entries)} classes, total {report.total}")
     if not diff:
-        print(f"oracle cross-check: OK ({oracle.total} words)", file=out)
+        print(f"oracle cross-check: OK ({oracle.total} words)")
     else:
-        print("oracle cross-check: FAIL", file=out)
+        print("oracle cross-check: FAIL")
         for canon in diff.only_in_a:
-            print(f"  only in analytic census: {canon}", file=out)
+            print(f"  only in analytic census: {canon}")
         for canon in diff.only_in_b:
-            print(f"  only in oracle census: {canon}", file=out)
+            print(f"  only in oracle census: {canon}")
         for canon, card_a, card_b in diff.cardinality_mismatches:
-            print(f"  {canon}: analytic {card_a} vs oracle {card_b}", file=out)
+            print(f"  {canon}: analytic {card_a} vs oracle {card_b}")
     if not records:
-        print(f"catalog: no records for p={p} (skipped)", file=out)
+        print(f"catalog: no records for p={p} (skipped)")
         return not diff, verification
     print(
         f"catalog: {len(records)} records; matched {len(verification.matched)}, "
         f"corrected {len(verification.corrected)}, "
         f"mismatched {len(verification.mismatched)}, "
-        f"unmatched {len(verification.unmatched_catalog)}",
-        file=out,
+        f"unmatched {len(verification.unmatched_catalog)}"
     )
     for item in verification.corrected:
         i, j = item.inserted_arc
         print(
             f"  corrected {item.record.designation}: monomial "
             f"'{item.record.monomial}' completed with x[{i},{j}]; "
-            f"cardinality {item.entry.cardinality} confirmed",
-            file=out,
+            f"cardinality {item.entry.cardinality} confirmed"
         )
         if item.record.note:
-            print(f"    note: {item.record.note}", file=out)
+            print(f"    note: {item.record.note}")
     for item in verification.mismatched:
-        print(f"  mismatched {item.record.designation}: {item.reason}", file=out)
+        print(f"  mismatched {item.record.designation}: {item.reason}")
     for item in verification.unmatched_catalog:
-        print(f"  unmatched record {item.record.designation}: {item.reason}", file=out)
+        print(f"  unmatched record {item.record.designation}: {item.reason}")
     for entry in verification.unmatched_computed:
         print(
             f"  computed class {p},{entry.rank} (cardinality {entry.cardinality}) "
-            "has no catalog record",
-            file=out,
+            "has no catalog record"
         )
     return not diff and verification.ok(), verification
 
@@ -296,18 +291,17 @@ def _cmd_verify(args) -> int:
         _check_oracle_budget(p, 2)
     results = []
     for p in node_counts:
-        results.append(_verify_one(p, catalog, sys.stdout))
-        print(file=sys.stdout)
+        results.append(_verify_one(p, catalog))
+        print()
     all_ok = all(ok for ok, _ in results)
     records = sum(len(catalog.for_p(p)) for p in node_counts)
     matched = sum(len(v.matched) for _, v in results)
     corrected = sum(len(v.corrected) for _, v in results)
     print(
         f"summary: {records} catalog records; {matched} matched directly, "
-        f"{corrected} corrected",
-        file=sys.stdout,
+        f"{corrected} corrected"
     )
-    print(f"verification: {'PASS' if all_ok else 'FAIL'}", file=sys.stdout)
+    print(f"verification: {'PASS' if all_ok else 'FAIL'}")
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 

@@ -7,9 +7,9 @@ across runs.  The two matrix streams share one row fill, _regular_rows:
 enumerate_regular_matrices keeps every row that fits, and _canonical_rows
 keeps only the row prefixes that can still start a canonical matrix and the
 whole matrices that are canonical (orderly generation: Read 1978; Faradzev
-1978; the test is canonical._accepting_walk, a refinement walk that fixes
-one row of the least relabeling per level and stops at the first row below
-the given one, and the walk that accepts a whole matrix gives its
+1978; the test is canonical._least_block with stop, a refinement walk that
+fixes one row of the least relabeling per level and stops at the first row
+below the given one, and the walk that accepts a whole matrix gives its
 canonical._result), so it yields each class's canonical matrix once, in
 rank order, and never lists the labeled matrices.
 Two exact counts share one DP, _fixed_matrices, which counts the matrices a
@@ -41,7 +41,7 @@ from itertools import product
 from math import comb, factorial, gcd
 from operator import le
 
-from .canonical import CanonicalResult, _accepting_walk, _result
+from .canonical import CanonicalResult, _least_block, _result
 from .core import ArcMatrix, check_node_cap, total_configurations
 
 # A configuration word is a length d*p tuple over node names 1..p in which
@@ -112,8 +112,8 @@ def _canonical_rows(p: int, d: int) -> Iterator[tuple[tuple[int, ...], Canonical
     and the identity witness, so no class is searched again.  The refusals
     of enumerate_regular_matrices apply.
     """
-    for rows in _regular_rows(p, d, lambda rows: _accepting_walk(rows, p) is not None):
-        if (walk := _accepting_walk(rows, p)) is not None:
+    for rows in _regular_rows(p, d, lambda rows: _least_block(rows, p, stop=True) is not None):
+        if (walk := _least_block(rows, p, stop=True)) is not None:
             yield rows, _result(rows, *walk)
 
 

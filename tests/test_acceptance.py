@@ -100,7 +100,7 @@ def test_criterion_4_spot_cardinalities(census_d2, catalog):
         assert class_id.cardinality == cardinality
         entry = report.entries[class_id.rank - 1]
         # orbit-stabilizer route, recomputed explicitly
-        assert cardinality == (math.factorial(p) // entry.aut_order) * entry.weight
+        assert cardinality == (math.factorial(p) // entry.aut_order) * weight(entry.canonical, 2)
     report_pass(4, f"{len(expected)} spot cardinalities reproduced exactly")
 
 

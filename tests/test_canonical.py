@@ -24,7 +24,7 @@ from dmcensus import (
 import dmcensus.canonical
 from dmcensus.canonical import (
     _MEMO_SIZE,
-    _accepting_walk,
+    _least_block,
     _memo,
     _remember,
     clear_cache,
@@ -103,10 +103,12 @@ def test_witness_is_the_least_minimal_ordering(p, d):
 def test_prefix_test_agrees_with_brute_force(p, d):
     prefixes = {m.entries[:k] for m in enumerate_regular_matrices(p, d) for k in range(1, p + 1)}
     for rows in prefixes:
-        assert (_accepting_walk(rows, p) is not None) == (brute_least_block(rows, p) == rows)
+        accepted = _least_block(rows, p, stop=True) is not None
+        assert accepted == (brute_least_block(rows, p) == rows)
     # at m = p the prefix test is the full canonicity test
     for m in enumerate_regular_matrices(p, d):
-        assert (_accepting_walk(m.entries, p) is not None) == (canonical_form(m).canonical == m)
+        accepted = _least_block(m.entries, p, stop=True) is not None
+        assert accepted == (canonical_form(m).canonical == m)
 
 
 @pytest.mark.parametrize("p, d", [(5, 2), (6, 1), (7, 1)])

@@ -347,17 +347,22 @@ def test_census_five_nodes(census_d2):
     assert report.total == 113400
 
 
-def test_census_entry_identities(census_d2):
-    for p in range(6):
-        report = census_d2(p)
-        fact_p = math.factorial(p)
-        assert report.total == total_configurations(p, 2)
+def test_census_entry_identities(census_d2, oracle_d2):
+    # An entry's weight is its words per labeled matrix; on both routes it
+    # must be the formula core.weight gives for the canonical matrix.
+    reports = [census_d2(p) for p in range(6)] + [oracle_d2(p) for p in range(6)]
+    reports += [oracle_census(p, 1) for p in range(7)]
+    reports += [oracle_census(p, 3) for p in range(4)]
+    for report in reports:
+        p, d = report.p, report.d
+        assert report.total == total_configurations(p, d)
         assert [e.rank for e in report.entries] == list(range(1, len(report.entries) + 1))
         keys = [e.canonical.entries for e in report.entries]
         assert keys == sorted(keys)
         for e in report.entries:
+            assert e.weight == weight(e.canonical, d)
             assert e.cardinality == e.labeled_matrix_count * e.weight
-            assert e.aut_order * e.labeled_matrix_count == fact_p
+            assert e.aut_order * e.labeled_matrix_count == math.factorial(p)
 
 
 def test_oracle_census_equals_build(census_d2, oracle_d2):

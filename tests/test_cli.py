@@ -13,13 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dmcensus
+import dmcensus.census
 import dmcensus.cli
-from dmcensus import ArcMatrix, Permutation, build_census, emit_dot, oracle_census, run_cli
+from dmcensus import ArcMatrix, Permutation, build_census, emit_dot, oracle_census, run_cli, weight
 from dmcensus.cli import (
     parse_census_csv,
     parse_census_jsonl,
     render_census_csv,
     render_census_jsonl,
+    render_census_text,
 )
 from dmcensus.generate import _canonical_rows
 
@@ -88,6 +90,26 @@ def test_jsonl_round_trip(census_d2):
     for p in range(5):
         report = census_d2(p)
         assert parse_census_jsonl(render_census_jsonl(report, {})) == report
+
+
+def test_weights_are_computed_only_where_records_are_parsed(monkeypatch):
+    # The renderers read each weight off its entry; parsing outside input
+    # runs core.weight once per record.
+    report = build_census(4, 2)
+    calls = []
+
+    def counting_weight(matrix, d):
+        calls.append(matrix)
+        return weight(matrix, d)
+
+    monkeypatch.setattr(dmcensus.census, "weight", counting_weight)
+    monkeypatch.setattr(dmcensus.cli, "weight", counting_weight)
+    text = render_census_csv(report)
+    render_census_jsonl(report, {})
+    render_census_text(report, {})
+    assert calls == []
+    assert parse_census_csv(text) == report
+    assert calls == [entry.canonical for entry in report.entries]
 
 
 CSV_HEADER = "p,d,rank,cardinality,aut_order,weight,monomial\n"
@@ -500,6 +522,21 @@ def test_render_bad_designation(capsys):
     capsys.readouterr()
     assert run_cli(["render", "--class", "2,99"]) == 2
     assert "out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        # argparse takes a value that starts with "-" for an option
+        (["render", "--class", "-1,2"], "argument --class: expected one argument"),
+        (["render", "--class=-1,2"], "error: node count must be nonnegative"),
+    ],
+)
+def test_render_refuses_a_negative_designation(argv, reason, capsys):
+    assert run_cli(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert reason in err
 
 
 @pytest.mark.parametrize("spelling", ["+1", "0_1", "١", " 1", "01", "-0", "1.0"])
