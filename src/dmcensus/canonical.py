@@ -90,7 +90,7 @@ rebuilt or revalidated here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import ArcMatrix, CensusInvariantError, Permutation, check_node_cap
 
@@ -105,8 +105,7 @@ from .core import ArcMatrix, CensusInvariantError, Permutation, check_node_cap
 _MEMO_SIZE = 2**15
 
 
-@dataclass(frozen=True)
-class CanonicalResult:
+class CanonicalResult(NamedTuple):
     """Canonical representative, automorphism group order, and a witness
     permutation mapping the input onto the canonical form."""
 

@@ -50,11 +50,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 from importlib import resources
 from itertools import permutations, starmap
 from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .canonical import CanonicalResult, _remember, canonical_form
 from .core import (
@@ -83,8 +83,7 @@ from .monomial import (
 )
 
 
-@dataclass(frozen=True)
-class CensusEntry:
+class CensusEntry(NamedTuple):
     """One isomorphism class; the counts beyond ClassId and |Aut| are derived.
 
     The cardinality divides exactly over the p!/|Aut| labeled matrices:
@@ -124,8 +123,7 @@ class CensusEntry:
         return matrix_to_monomial(self.canonical)
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(NamedTuple):
     """Complete census for (p, d); entries ascend by canonical matrix.
 
     The total is derived from the entries, not stored.
@@ -313,8 +311,7 @@ def oracle_census(p: int, d: int) -> CensusReport:
     return _finish_report(p, d, classes)
 
 
-@dataclass(frozen=True)
-class CensusDiff:
+class CensusDiff(NamedTuple):
     """Discrepancies between two censuses for the same (p, d)."""
 
     p: int
@@ -354,8 +351,7 @@ def _plain_ints(fields: list[str]) -> list[int]:
     return ints
 
 
-@dataclass(frozen=True)
-class CatalogRecord:
+class CatalogRecord(NamedTuple):
     """One reference-catalog row: designation triple plus monomial text."""
 
     p: int
@@ -369,8 +365,7 @@ class CatalogRecord:
         return f"{self.p},{self.rank},{self.cardinality}"
 
 
-@dataclass(frozen=True)
-class Catalog:
+class Catalog(NamedTuple):
     """Reference catalog of class records, keyed by node count."""
 
     records: tuple[CatalogRecord, ...]
@@ -422,8 +417,7 @@ def load_catalog(path: str | Path | None = None) -> Catalog:
     return Catalog.from_csv_text(text)
 
 
-@dataclass(frozen=True)
-class RecordCheck:
+class RecordCheck(NamedTuple):
     """What checking one catalog record found.
 
     entry is the computed class the record claimed, if any; inserted_arc the
@@ -437,8 +431,7 @@ class RecordCheck:
     reason: str = ""
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of checking a census against the catalog records for its p.
 
     Every catalog record lands in exactly one of matched, corrected,

@@ -10,7 +10,7 @@ module are 0-based.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # The node count is capped.  The census and oracle budgets refuse large sizes
 # up front, but not census -p 11 -d 1: class_count(11, 1) is 56, under
@@ -62,8 +62,18 @@ def check_node_cap(p: int) -> None:
         raise NodeCapError(f"p={p} exceeds the supported maximum of {NODE_CAP} nodes")
 
 
-@dataclass(frozen=True, order=True)
-class ArcMatrix:
+class _Checked:
+    """Base of a validating named tuple: _make, and so _replace, go through the
+    class's own constructor and its checks instead of tuple.__new__."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class ArcMatrix(_Checked, NamedTuple("ArcMatrix", [("entries", tuple)])):
     """Immutable p x p matrix of nonnegative arc multiplicities.
 
     p = 0 is legal and denotes the null multigraph (no nodes, no arcs).
@@ -72,11 +82,10 @@ class ArcMatrix:
     census classes.
     """
 
-    entries: tuple[tuple[int, ...], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.entries)
-        object.__setattr__(self, "entries", rows)
+    def __new__(cls, entries=()):
+        rows = tuple(tuple(row) for row in entries)
         p = len(rows)
         for row in rows:
             if len(row) != p:
@@ -85,6 +94,7 @@ class ArcMatrix:
                 )
             if row and min(row) < 0:
                 raise ValueError(f"arc multiplicities must be nonnegative: {row!r}")
+        return super().__new__(cls, rows)
 
     @property
     def p(self) -> int:
@@ -102,17 +112,19 @@ class ArcMatrix:
         return "; ".join(" ".join(str(e) for e in row) for row in self.entries)
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """Bijection on 0-based node indices; images[i] is the new name of node i."""
+class Permutation(_Checked, NamedTuple("Permutation", [("images", tuple)])):
+    """Bijection on 0-based node indices; images[i] is the new name of node i.
 
-    images: tuple[int, ...] = ()
+    len() is the number of images, not the one field.
+    """
 
-    def __post_init__(self):
-        images = tuple(self.images)
-        object.__setattr__(self, "images", images)
+    __slots__ = ()
+
+    def __new__(cls, images=()):
+        images = tuple(images)
         if sorted(images) != list(range(len(images))):
             raise ValueError(f"not a permutation of 0..{len(images) - 1}: {images!r}")
+        return super().__new__(cls, images)
 
     @classmethod
     def identity(cls, p: int) -> "Permutation":
@@ -128,8 +140,7 @@ class Permutation:
         return len(self.images)
 
 
-@dataclass(frozen=True, order=True)
-class ClassId:
+class ClassId(NamedTuple):
     """Class designation: node count, rank, and cardinality.
 
     The rank is the 1-based position of the class when all classes for this

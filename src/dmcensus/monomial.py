@@ -15,9 +15,9 @@ are normalized to sorted order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .core import ArcMatrix
+from .core import ArcMatrix, _Checked
 
 
 class MonomialParseError(ValueError):
@@ -45,18 +45,17 @@ class DegreeError(ValueError):
         self.col_deficit = tuple(col_deficit)
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(_Checked, NamedTuple("Monomial", [("factors", tuple)])):
     """Multiset of (source, target) arc factors, kept sorted; () is the constant 1."""
 
-    factors: tuple[tuple[int, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        factors = tuple(sorted((int(i), int(j)) for i, j in self.factors))
+    def __new__(cls, factors=()):
+        factors = tuple(sorted((int(i), int(j)) for i, j in factors))
         for i, j in factors:
             if i < 1 or j < 1:
                 raise ValueError(f"node names start at 1: ({i},{j})")
-        object.__setattr__(self, "factors", factors)
+        return super().__new__(cls, factors)
 
     def max_node(self) -> int:
         return max(map(max, self.factors), default=0)
@@ -215,9 +214,13 @@ def monomial_to_matrix(mono: Monomial, p: int, d: int) -> ArcMatrix:
 
 
 def matrix_to_monomial(matrix: ArcMatrix) -> Monomial:
-    """Inverse encoding: factor (i, j) repeated entries[i][j] times, sorted."""
+    """Inverse encoding: factor (i, j) repeated entries[i][j] times, sorted.
+
+    The factors are built in sorted order from enumerate's 1-based indices,
+    so the result skips Monomial's sort and int() pass.
+    """
     factors = []
     for i, row in enumerate(matrix.entries, start=1):
         for j, mult in enumerate(row, start=1):
             factors.extend([(i, j)] * mult)
-    return Monomial(tuple(factors))
+    return tuple.__new__(Monomial, (tuple(factors),))

@@ -4,7 +4,6 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -318,7 +317,7 @@ def wrong_witness(m):
     """canonical_form(m) with its witness followed by the swap of nodes 0 and 1."""
     result = canonical_form(m)
     swap = (1, 0, *range(2, m.p))
-    return replace(result, witness=Permutation(tuple(swap[w] for w in result.witness.images)))
+    return result._replace(witness=Permutation(tuple(swap[w] for w in result.witness.images)))
 
 
 def test_memo_refuses_a_wrong_witness():

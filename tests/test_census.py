@@ -6,7 +6,6 @@ import random
 import time
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -98,12 +97,12 @@ def test_grouping_memory_follows_one_orbit():
     "change, error",
     [
         (
-            lambda r: replace(
-                r, canonical=ArcMatrix(tuple(row[::-1] for row in r.canonical.entries[::-1]))
+            lambda r: r._replace(
+                canonical=ArcMatrix(tuple(row[::-1] for row in r.canonical.entries[::-1]))
             ),
             "is not canonical; its class has",
         ),
-        (lambda r: replace(r, aut_order=2 * r.aut_order), "labeled matrices, expected 21"),
+        (lambda r: r._replace(aut_order=2 * r.aut_order), "labeled matrices, expected 21"),
     ],
     ids=["non-minimal canonical", "wrong aut_order"],
 )
@@ -449,7 +448,7 @@ def test_naive_search_catches_a_generated_class_that_is_not_the_least_relabeling
     rows, result = stream[index]
     flipped = ArcMatrix(flip(rows))
     stream[index] = (flipped.entries,
-                     replace(result, canonical=flipped, witness=Permutation.identity(4)))
+                     result._replace(canonical=flipped, witness=Permutation.identity(4)))
     monkeypatch.setattr(dmcensus.census, "_canonical_rows", lambda p, d: iter(stream))
     monkeypatch.setattr(dmcensus.canonical, "_memo", {})  # the build stores the result
     assert _naive_search_misses(build_census(4, 4).entries) == [flipped]
@@ -520,8 +519,8 @@ def test_compare_census_detects_perturbation(census_d2):
     report = census_d2(2)
     tweaked = list(report.entries)
     victim = tweaked[1]
-    tweaked[1] = replace(
-        victim, class_id=ClassId(victim.p, victim.rank, victim.cardinality + 1)
+    tweaked[1] = victim._replace(
+        class_id=ClassId(victim.p, victim.rank, victim.cardinality + 1)
     )
     fixture = CensusReport(report.p, report.d, tuple(tweaked))
     diff = compare_census(report, fixture)
@@ -616,7 +615,7 @@ def test_verify_unparseable_record(census_d2):
 
 def test_verify_reports_a_record_of_a_class_the_census_lacks(census_d2):
     report = census_d2(2)
-    short = replace(report, entries=report.entries[:-1])
+    short = report._replace(entries=report.entries[:-1])
     record = CatalogRecord(2, 1, 1, "x11 x11 x22 x22", "")  # the last class, 2*I_2
     verification = verify_against_catalog(short, Catalog((record,)))
     assert [(u.record, u.reason) for u in verification.unmatched_catalog] == [

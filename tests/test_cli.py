@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -322,9 +321,9 @@ def test_verify_reports_an_oracle_disagreement(monkeypatch, capsys):
     def tampered(p, d):
         report = oracle_census(p, d)
         first, middle, last = report.entries
-        first = replace(first, class_id=replace(first.class_id, cardinality=2))
-        last = replace(last, canonical=ArcMatrix(((1, 0), (0, 1))))
-        return replace(report, entries=(first, middle, last))
+        first = first._replace(class_id=first.class_id._replace(cardinality=2))
+        last = last._replace(canonical=ArcMatrix(((1, 0), (0, 1))))
+        return report._replace(entries=(first, middle, last))
 
     monkeypatch.setattr(dmcensus.cli, "oracle_census", tampered)
     assert run_cli(["verify", "-p", "2"]) == 1
@@ -350,7 +349,7 @@ def test_verify_catches_a_generated_class_that_is_not_the_least_relabeling(monke
     rows, result = stream[index]
     flipped = ArcMatrix(flip(rows))
     stream[index] = (flipped.entries,
-                     replace(result, canonical=flipped, witness=Permutation.identity(3)))
+                     result._replace(canonical=flipped, witness=Permutation.identity(3)))
     monkeypatch.setattr(dmcensus.census, "_canonical_rows", lambda p, d: iter(stream))
     monkeypatch.setattr(dmcensus.canonical, "_memo", {})  # the build stores the result
     assert run_cli(["verify", "-p", "3"]) == 1

@@ -19,3 +19,12 @@ def test_time_builds_measures_a_small_size():
         assert (record["classes"], record["exact"]) == (8, True)
         assert 0 <= record["cpu_s"] < 1
         assert record["peak_rss_mib"] > 0
+
+
+def test_time_builds_measures_startup():
+    record = load_tool().measure_startup(runs=1)
+    assert record["kind"] == "startup"
+    for name in ("bare_s", "import_s", "render_s"):
+        assert len(record[name]) == 1 and record[f"{name}.median"] > 0
+    assert "argparse" in record["modules_added"]
+    assert not {"dataclasses", "inspect"} & set(record["heavy_modules"])

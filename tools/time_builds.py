@@ -1,4 +1,4 @@
-"""Time the census builds the bench does not run, and write the numbers as JSON.
+"""Time start-up and the census builds the bench does not run; write the numbers as JSON.
 
     python3 tools/time_builds.py --out BENCH_<n>.json
 
@@ -13,9 +13,16 @@ its own:
   its classes must number class_count(8, 2), and their p!/|Aut| must sum to
   count_regular_matrices(8, 2).
 
-The output file names the CPU model and the Python version, and holds one
-record per size with every run's CPU seconds, their minimum and median, the
-peak RSS and whether the exact counts held.
+The startup record holds the wall seconds of three fresh interpreters on
+the same pinned CPU, RUNS of each, interleaved: a bare `python -c pass`, one
+that runs `import dmcensus; dmcensus.load_catalog()`, and the CLI command
+`render --class 5,85`.  It names the modules that import added to a bare
+interpreter, and which of them are in HEAVY, stdlib modules that each cost
+milliseconds to import.
+
+The output file names the CPU model and the Python version, and holds the
+startup record and one record per size with every run's CPU seconds, their
+minimum and median, the peak RSS and whether the exact counts held.
 The command exits with status 1 when a count does not.
 """
 
@@ -37,6 +44,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 RUNS = 3
 SIZES = (("build", 5, 2), ("build", 7, 2), ("build", 10, 1), ("build", 4, 6),
          ("generator", 8, 2))
+HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "linecache", "typing",
+         "importlib.resources", "pathlib", "re", "enum")
+IMPORT = ("import sys; bare = set(sys.modules); import dmcensus; dmcensus.load_catalog(); "
+          "print(' '.join(sorted(set(sys.modules) - bare)))")
 
 
 def measure(kind: str, p: int, d: int) -> dict:
@@ -74,6 +85,30 @@ def measure_in_child(kind: str, p: int, d: int) -> dict:
     return json.loads(done.stdout)
 
 
+def measure_startup(runs: int = RUNS) -> dict:
+    """Wall seconds of a bare interpreter, of importing dmcensus and loading its
+    catalog, and of `render --class 5,85`, each in fresh interpreters pinned to
+    this process's first CPU; and the modules the import added."""
+    cpu = min(os.sched_getaffinity(0))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    commands = {"bare_s": ["-c", "pass"], "import_s": ["-c", IMPORT],
+                "render_s": ["-m", "dmcensus", "render", "--class", "5,85"]}
+    times: dict[str, list[float]] = {name: [] for name in commands}
+    for _ in range(runs):
+        for name, args in commands.items():
+            start = time.perf_counter()
+            done = subprocess.run([sys.executable, *args], env=env, check=True,
+                                  capture_output=True, text=True,
+                                  preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+            times[name].append(time.perf_counter() - start)
+            if name == "import_s":
+                added = [m for m in done.stdout.split() if not m.startswith("dmcensus")]
+    medians = {f"{name}.median": statistics.median(t) for name, t in times.items()}
+    return {"kind": "startup", **times, **medians,
+            "import_over_bare_s": medians["import_s.median"] - medians["bare_s.median"],
+            "modules_added": added, "heavy_modules": [m for m in added if m in HEAVY]}
+
+
 def cpu_model() -> str:
     """The CPU model as /proc/cpuinfo names it, else the machine type."""
     try:
@@ -88,6 +123,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    startup = measure_startup()
+    print(f"startup: import over bare {startup['import_over_bare_s'] * 1000:.1f} ms, "
+          f"render --class 5,85 median {startup['render_s.median']:.3f} s, "
+          f"heavy modules {startup['heavy_modules']}", flush=True)
     records = []
     for kind, p, d in SIZES:
         runs = [measure_in_child(kind, p, d) for _ in range(RUNS)]
@@ -102,7 +141,8 @@ def main(argv=None) -> int:
               f"peak RSS {record['peak_rss_mib']:.1f} MiB", flush=True)
     header = {"cpu": f"one pinned core of {cpu_model()}",
               "python": platform.python_version(), "runs": RUNS}
-    args.out.write_text(json.dumps({**header, "sizes": records}, indent=1) + "\n")
+    args.out.write_text(json.dumps({**header, "startup": startup, "sizes": records},
+                                   indent=1) + "\n")
     return 0 if all(record["exact"] for record in records) else 1
 
 
