@@ -165,11 +165,15 @@ def _least_block(rows: tuple[tuple[int, ...], ...], p: int, stop: bool):
             r = rows[v]
             row = [r[u] for u in order]
             row.append(r[v])
-            row += sorted([r[w] for w in head if w != v])
+            if len(head) > 1:
+                row += sorted([r[w] for w in head if w != v])
             for cell in rest:
-                row += sorted(map(r.__getitem__, cell))
+                if len(cell) == 1:
+                    row.append(r[cell[0]])
+                else:
+                    row += sorted(map(r.__getitem__, cell))
             found.append(row)
-        least = min(found)
+        least = min(found) if len(found) > 1 else found[0]
         if k < len(best) and least != best[k]:
             if least > best[k]:
                 return p
@@ -227,7 +231,8 @@ def _result(rows: tuple[tuple[int, ...], ...], best, first, gens) -> CanonicalRe
     images = [0] * p
     for position, v in enumerate(first):
         images[v] = position
-    return CanonicalResult(ArcMatrix(best), aut_order, Permutation(tuple(images)))
+    canon = tuple.__new__(ArcMatrix, (tuple(map(tuple, best)),))  # relabeled valid rows, unchecked
+    return CanonicalResult(canon, aut_order, Permutation(tuple(images)))
 
 
 # rows -> CanonicalResult, oldest first, at most _MEMO_SIZE entries

@@ -13,14 +13,16 @@ Two independent routes produce the census for (p, d).
   first, and a census above CLASS_BUDGET classes is refused.
 * oracle_census counts configuration words per matrix and takes each class
   cardinality as its raw word count, with no counting formula.
-  _group_by_canonical consumes the tally, the plain row tuples of each
-  labeled matrix -> its count, one class at a time, with no canonical
-  search: the p! relabelings of the first matrix of the class left in the
-  tally, listed by brute force and popped, give the canonical matrix, their
-  least, and |Aut|, p! over their number (orbit-stabilizer), and the
-  class's words must split evenly over them.  An oracle of more than
-  WORD_BUDGET words, or whose orbit sweep would list more than ORBIT_BUDGET
-  relabelings, is refused before any word is counted.
+  _group_by_canonical consumes the tally, the key of each labeled matrix
+  -> its count, one class at a time, with no canonical search: the p!
+  relabelings of the first key of the class left in the tally, listed by
+  brute force and popped, give the canonical matrix, their least, and
+  |Aut|, p! over their number (orbit-stabilizer), and the class's words
+  must split evenly over them.  A key is the matrix's entries as bytes,
+  laid out, listed and decoded in generate alone (see
+  generate._word_tally).  An oracle of more than WORD_BUDGET words, or
+  whose orbit sweep would list more than ORBIT_BUDGET relabelings, is
+  refused before any word is counted.
 
 Neither route validates a labeled matrix.  The generator makes one ArcMatrix
 per canonical matrix, and the grouping one per class, from the least of its
@@ -51,8 +53,6 @@ import csv
 import io
 import math
 from importlib import resources
-from itertools import permutations, starmap
-from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -69,6 +69,8 @@ from .core import (
 )
 from .generate import (
     _canonical_rows,
+    _key_rows,
+    _orbit_lister,
     _word_tally,
     class_count,
     count_regular_matrices,
@@ -139,31 +141,27 @@ class CensusReport(NamedTuple):
         return sum(entry.cardinality for entry in self.entries)
 
 
-def _group_by_canonical(tally: dict) -> dict[ArcMatrix, tuple[int, int]]:
-    """Group the oracle's tally, rows -> count, into canonical -> (aut_order, count).
+def _group_by_canonical(tally: dict, p: int) -> dict[ArcMatrix, tuple[int, int]]:
+    """Group the oracle's tally of p-node keys, key -> count, into
+    canonical -> (aut_order, count).
 
     Consumes tally: each class pops its labeled matrices as it forms.  The
-    orbit of the first matrix of a class still in the tally, in the tally's
-    order, all p! relabelings as row tuples, is listed by brute force: its
-    least is the canonical matrix and p!/len(orbit) is |Aut|
-    (orbit-stabilizer), so the oracle shares no code with canonical search.
-    Every relabeling must still be in the tally, so the class holds all the
-    p!/|Aut| labeled matrices callers derive instead of counting, and its
-    words must split evenly over them.
+    orbit of the first key of a class still in the tally, in the tally's
+    order, all p! relabelings, is listed by brute force along one fixed
+    sweep of adjacent swaps (generate._orbit_lister): its least key is the
+    canonical matrix and p!/len(orbit) is |Aut| (orbit-stabilizer), so the
+    oracle shares no code with canonical search.  Every relabeling must
+    still be in the tally, so the class holds all the p!/|Aut| labeled
+    matrices callers derive instead of counting, and its words must split
+    evenly over them.
     """
+    orbit_of = _orbit_lister(p)
     classes: dict[ArcMatrix, tuple[int, int]] = {}
-    for rows in list(tally):
-        if rows not in tally:
+    for key in list(tally):
+        if key not in tally:
             continue  # popped with the orbit of an earlier class
-        p = len(rows)
-        if p <= 1:  # itemgetter of fewer than 2 items returns no tuple
-            orbit = {rows}
-        else:
-            orbit = {
-                tuple(map(get, get(rows)))
-                for get in starmap(itemgetter, permutations(range(p)))
-            }
-        canon = ArcMatrix(min(orbit))
+        orbit = orbit_of(key)
+        canon = ArcMatrix(_key_rows(min(orbit), p))
         if not orbit <= tally.keys():
             raise CensusInvariantError(
                 f"class of {canon} lacks a labeled matrix; orbit-stabilizer demands "
@@ -261,20 +259,21 @@ def build_census(p: int, d: int) -> CensusReport:
 
 # The most configuration words oracle_census tallies; a larger oracle is
 # refused before anything is enumerated.  The tally's time follows the
-# words, timed on one core of a 2-vCPU host: at (6,2), 7,484,400 words, the
-# whole oracle takes 3.3-4.5 s of CPU, more than half of it in the tally,
-# and at (4,3), 369,600 words, about 0.1 s.  The nearest word counts above
-# it are 17,153,136 at (3,6), 63,063,000 at (4,4), 168,168,000 at (5,3) and
-# 681,080,400 at (7,2).
+# words, timed on one core of a 2-vCPU host (tools/time_builds.py,
+# BENCH_20.json): at (6,2), 7,484,400 words, the whole oracle takes 2.1-2.9 s
+# of CPU, about three quarters of it in the tally, and at (4,3), 369,600
+# words, about 0.1 s.  The nearest word counts above it are 17,153,136 at
+# (3,6), 63,063,000 at (4,4), 168,168,000 at (5,3) and 681,080,400 at (7,2).
 WORD_BUDGET = 10**7
 
 # The most relabelings the oracle's orbit sweep lists, p! for each of the
 # class_count classes; a larger oracle is refused before anything is
 # enumerated.  The sweep's time follows the relabelings, timed on one core
-# of a 2-vCPU host: the whole oracle takes 3.2-3.7 s of CPU at (8,1),
-# 887,040 relabelings, and 3.3-4.5 s at (6,2), 285,840.  The word budget
-# admits two sizes above it: (9,1), 10,886,400 relabelings, about 45 s (30
-# orbits of 1.5 s each), and (10,1), 152,409,600.
+# of a 2-vCPU host (tools/time_builds.py, BENCH_20.json): the whole oracle
+# takes 1.6-2.2 s of CPU at (8,1), 887,040 relabelings, nearly all of it in
+# the sweep, and 2.1-2.9 s at (6,2), 285,840.  The word budget admits two
+# sizes above it: (9,1), 10,886,400 relabelings, about 36 s (30 orbits of
+# 1.2 s each), and (10,1), 152,409,600.
 ORBIT_BUDGET = 10**6
 
 
@@ -307,7 +306,7 @@ def oracle_census(p: int, d: int) -> CensusReport:
     is counted.
     """
     _check_oracle_budget(p, d)
-    classes = _group_by_canonical(_word_tally(p, d))
+    classes = _group_by_canonical(_word_tally(p, d), p)
     return _finish_report(p, d, classes)
 
 

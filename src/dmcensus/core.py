@@ -62,6 +62,9 @@ def check_node_cap(p: int) -> None:
         raise NodeCapError(f"p={p} exceeds the supported maximum of {NODE_CAP} nodes")
 
 
+_INT = frozenset((int,))  # the one type an arc multiplicity may have
+
+
 class _Checked:
     """Base of a validating named tuple: _make, and so _replace, go through the
     class's own constructor and its checks instead of tuple.__new__."""
@@ -76,10 +79,11 @@ class _Checked:
 class ArcMatrix(_Checked, NamedTuple("ArcMatrix", [("entries", tuple)])):
     """Immutable p x p matrix of nonnegative arc multiplicities.
 
-    p = 0 is legal and denotes the null multigraph (no nodes, no arcs).
-    Instances are hashable and safe to share between threads.  They compare
-    by their entries in row-major lexicographic order, the order that ranks
-    census classes.
+    Each multiplicity must be an int, not a float, a bool or another
+    subclass of int.  p = 0 is legal and denotes the null multigraph (no
+    nodes, no arcs).  Instances are hashable and safe to share between
+    threads.  They compare by their entries in row-major lexicographic
+    order, the order that ranks census classes.
     """
 
     __slots__ = ()
@@ -92,6 +96,8 @@ class ArcMatrix(_Checked, NamedTuple("ArcMatrix", [("entries", tuple)])):
                 raise DimensionError(
                     f"expected a {p}x{p} matrix, got a row of length {len(row)}"
                 )
+            if not _INT.issuperset(map(type, row)):
+                raise ValueError(f"arc multiplicities must be integers: {row!r}")
             if row and min(row) < 0:
                 raise ValueError(f"arc multiplicities must be nonnegative: {row!r}")
         return super().__new__(cls, rows)

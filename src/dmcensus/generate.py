@@ -27,9 +27,13 @@ the one ArcMatrix, of the walk that accepted it.  The word oracle in census
 does not list the words at all: _word_tally builds each word's integer key
 from a head key, over the first half of the positions, and a tail key from
 a table built once per multiset of symbols the head leaves, counts every
-word under its key and decodes each distinct key once, to plain row tuples
-without that check; the oracle checks regularity once per class instead.
-enumerate_words, the words one by one, is the tally's test reference.
+word under its key and decodes each distinct key once, without that check
+(the oracle checks regularity once per class instead), into the oracle's
+key of the matrix: its entries as one bytes, row-major, for p >= 2.  The
+grouping in census lists each class's relabelings of such a key with
+_orbit_lister and decodes the least with _key_rows, so the layout is known
+here alone.  enumerate_words, the words one by one, is the tally's test
+reference.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from collections.abc import Callable, Iterator
 from functools import cache
 from itertools import product
 from math import comb, factorial, gcd
-from operator import le
+from operator import itemgetter, le
 
 from .canonical import CanonicalResult, _least_block, _result
 from .core import ArcMatrix, check_node_cap, total_configurations
@@ -226,21 +230,31 @@ def enumerate_words(p: int, d: int) -> Iterator[Word]:
         word[k + 1 :] = reversed(word[k + 1 :])
 
 
-def _word_tally(p: int, d: int) -> dict[tuple[tuple[int, ...], ...], int]:
-    """Count the configuration words projecting to each arc matrix, as rows.
+def _word_tally(p: int, d: int) -> dict:
+    """Count the configuration words projecting to each arc matrix, by its key.
 
-    Keys are plain row tuples, unchecked, in order of first appearance in
-    enumerate_words' lexicographic order.  Each word is summed to an integer
-    key in base d + 1: a symbol s in block j adds 1 to digit (s - 1) * p + j,
-    the row-major position of entry (s, j); each distinct key decodes once,
-    by divmod into rows of p digits.  The words are not listed one by one
-    but split in two (meet in the middle; Horowitz and Sahni 1974): the
-    heads, the first half of the positions in lexicographic order, each
-    carry their partial key and the symbols they leave, and the keys of the
-    tails that can follow are built once per left-over multiset.  Each head
-    key plus each of its tail keys is one word, counted once, so every word
-    still adds 1 to its own key and no count is multiplied.  A (p, d) past
-    the node cap or the count budget fails before any table is built.
+    A key is the matrix in the oracle's layout, which is stated here alone
+    and read or written only in this module (_word_tally, _orbit_lister,
+    _key_rows).  For p >= 2 it is a bytes of the p*p entries in row-major
+    order, entry (i, j) at offset i * p + j.  Each entry is at most d, and
+    the count budget keeps d <= 33 there (C(2d, d) < 2^63), so each fits one
+    byte, and bytes compare as the row-major lexicographic order that ranks
+    census classes, so the least key of a class is its canonical matrix.
+    For p <= 1 the key is the plain row tuple of the one matrix, since a
+    one-node entry is d and may pass 255.
+
+    Keys are unchecked, in order of first appearance in enumerate_words'
+    lexicographic order.  Each word is summed to an integer key in base
+    d + 1: a symbol s in block j adds 1 to digit (s - 1) * p + j, the
+    row-major position of entry (s, j); each distinct key decodes once, by
+    divmod into rows of p digits.  The words are not listed one by one but
+    split in two (meet in the middle; Horowitz and Sahni 1974): the heads,
+    the first half of the positions in lexicographic order, each carry their
+    partial key and the symbols they leave, and the keys of the tails that
+    can follow are built once per left-over multiset.  Each head key plus
+    each of its tail keys is one word, counted once, so every word still
+    adds 1 to its own key and no count is multiplied.  A (p, d) past the
+    node cap or the count budget fails before any table is built.
     """
     check_node_cap(p)
     total_configurations(p, d)
@@ -269,21 +283,79 @@ def _word_tally(p: int, d: int) -> dict[tuple[tuple[int, ...], ...], int]:
     def tails(left):  # per left-over multiset, for the duration of one call
         return [key for key, _ in fills(n // 2, n, left)]
 
+    keys: Counter[int] = Counter()
+    for head, left in fills(0, n // 2, (d,) * p):
+        keys.update(map(head.__add__, tails(left)))
+    if p <= 1:  # a one-node key is its one entry, which may pass 255
+        return {((key,),) * p: count for key, count in keys.items()}
+
     @cache
     def row(value):  # rows recur across matrices; decode each value once
-        return tuple(value // base**j % base for j in range(p))
+        return bytes(value // base**j % base for j in range(p))
 
-    def rows(key):
+    def decode(key):
         out = []
         for _ in range(p):
             key, value = divmod(key, row_size)
             out.append(row(value))
-        return tuple(out)
+        return b"".join(out)
 
-    keys: Counter[int] = Counter()
-    for head, left in fills(0, n // 2, (d,) * p):
-        keys.update(map(head.__add__, tails(left)))
-    return {rows(key): count for key, count in keys.items()}
+    return {decode(key): count for key, count in keys.items()}
+
+
+def _plain_changes(p: int) -> list[int]:
+    """The p! - 1 adjacent transpositions of the plain changes order, as the
+    index i of each swap of positions i and i + 1.
+
+    Applied in turn to any arrangement of p items, they visit every one of
+    the p! arrangements exactly once (Trotter 1962; Johnson 1963): the last
+    item sweeps across the others, and between two sweeps the others take
+    one step of this sequence for p - 1, shifted by one while the last item
+    sits in front.
+    """
+    if p <= 1:
+        return []
+    inner = _plain_changes(p - 1)
+    swaps: list[int] = []
+    for k in range(len(inner) + 1):
+        swaps += range(p - 2, -1, -1) if k % 2 == 0 else range(p - 1)
+        if k < len(inner):
+            swaps.append(inner[k] + (k % 2 == 0))
+    return swaps
+
+
+def _orbit_lister(p: int) -> Callable[..., set]:
+    """A function that lists the p! relabelings of a p-node key of _word_tally.
+
+    It takes them along _plain_changes(p): each is the one before with two
+    adjacent nodes swapped, their rows and their columns, made by one of
+    p - 1 byte getters shared by the whole sweep.  The set it returns holds
+    every distinct relabeling once, so its size is p!/|Aut|.
+    """
+    if p <= 1:
+        return lambda key: {key}
+    swaps = []
+    for i in range(p - 1):
+        node = list(range(p))
+        node[i], node[i + 1] = i + 1, i
+        swaps.append(itemgetter(*[node[a] * p + node[b] for a in range(p) for b in range(p)]))
+    sweep = [swaps[i] for i in _plain_changes(p)]
+
+    def orbit(key):
+        keys = {key}
+        for get in sweep:
+            key = bytes(get(key))
+            keys.add(key)
+        return keys
+
+    return orbit
+
+
+def _key_rows(key, p: int) -> tuple[tuple[int, ...], ...]:
+    """The plain row tuples of a p-node key of _word_tally."""
+    if p <= 1:
+        return key
+    return tuple(tuple(key[i : i + p]) for i in range(0, p * p, p))
 
 
 def word_to_matrix(word: Word, p: int, d: int) -> ArcMatrix:

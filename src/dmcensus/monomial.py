@@ -197,7 +197,7 @@ def monomial_to_matrix(mono: Monomial, p: int, d: int) -> ArcMatrix:
     grid = [[0] * p for _ in range(p)]
     for i, j in mono.factors:
         grid[i - 1][j - 1] += 1
-    matrix = ArcMatrix(tuple(tuple(row) for row in grid))
+    matrix = tuple.__new__(ArcMatrix, (tuple(map(tuple, grid)),))  # p x p counts, unchecked
     row_deficit = [d - s for s in matrix.row_sums()]
     col_deficit = [d - s for s in matrix.col_sums()]
     if any(row_deficit) or any(col_deficit) or len(mono.factors) != d * p:

@@ -118,8 +118,15 @@ def brute_matrix_word_counts(p, d):
     return counts
 
 
+def tally_key(rows):
+    """The oracle's tally key of a matrix given as rows: for p >= 2 its entries
+    in row-major order, one byte each; for p <= 1 the rows themselves."""
+    return bytes(e for row in rows for e in row) if len(rows) > 1 else rows
+
+
 def word_tally(words, p, d):
-    """The oracle's tally, one word at a time: rows -> count, in order of first appearance.
+    """The oracle's tally, one word at a time: tally_key -> count, in order of
+    first appearance.
 
     Each word is summed to an integer key in base d + 1: a symbol s in block
     j adds 1 to digit (s - 1) * p + j, the row-major position of entry
@@ -148,7 +155,7 @@ def word_tally(words, p, d):
         return tuple(out)
 
     keys = Counter(sum(map(getitem, digits, word)) for word in words)
-    return {rows(key): count for key, count in keys.items()}
+    return {tally_key(rows(key)): count for key, count in keys.items()}
 
 
 def brute_regular_matrices(p, d):

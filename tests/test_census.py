@@ -49,7 +49,7 @@ from dmcensus.census import (
     _group_by_canonical,
 )
 from dmcensus.generate import _canonical_rows, _result, _word_tally
-from oracles import naive_least_relabeling, relabel, word_tally
+from oracles import naive_least_relabeling, relabel, tally_key, word_tally
 
 
 def test_census_two_nodes(census_d2):
@@ -66,31 +66,47 @@ def test_census_null_graph(census_d2):
 
 
 def test_grouping_rejects_a_class_short_of_a_labeled_matrix():
-    tally = Counter(m.entries for m in enumerate_regular_matrices(3, 2))
+    tally = Counter(tally_key(m.entries) for m in enumerate_regular_matrices(3, 2))
     consumed = tally.copy()
-    classes = _group_by_canonical(consumed)
+    classes = _group_by_canonical(consumed, 3)
     assert len(classes) == 8 and not consumed
     # a double loop beside a complete 2-node digraph: |Aut| = 2, 3 labelings
     missing = ArcMatrix(((2, 0, 0), (0, 1, 1), (0, 1, 1)))
     assert classes[canonical_form(missing).canonical][:2] == (2, 3)
-    del tally[missing.entries]
+    del tally[tally_key(missing.entries)]
     with pytest.raises(CensusInvariantError, match="orbit-stabilizer"):
-        _group_by_canonical(tally.copy())
+        _group_by_canonical(tally.copy(), 3)
 
 
 def test_grouping_memory_follows_one_orbit():
-    # The grouping holds the tally's keys, one orbit of row tuples and the
-    # classes, about 320 KiB traced here; a second table of the relabelings
-    # still to come, keyed by bytes, peaked at 769 KiB.
+    # The grouping holds the tally's keys, one orbit of byte keys and the
+    # classes, about 100-120 KiB traced here; one orbit of row tuples took
+    # 320 KiB, and a second table of the relabelings still to come, keyed
+    # by bytes, peaked at 769 KiB.
     tally = _word_tally(5, 2)
     clear_cache()
     tracemalloc.start()
     try:
-        _group_by_canonical(tally)
+        _group_by_canonical(tally, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 512 * 2**10
+
+
+def test_grouping_memory_at_degree_one_follows_the_byte_keys():
+    # At (6,1) an orbit of 720 row tuples of 6 row tuples each peaked at
+    # 222-343 KiB traced; the same orbit as 720 byte keys, with the 719-step
+    # sweep of shared getters, peaks at about 50 KiB.
+    tally = _word_tally(6, 1)
+    clear_cache()
+    tracemalloc.start()
+    try:
+        _group_by_canonical(tally, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**10
 
 
 @pytest.mark.parametrize(
@@ -299,6 +315,11 @@ def test_oracle_refuses_too_many_relabelings_up_front(monkeypatch, p, d, relabel
 def test_orbit_budget_admits_sizes_within_it(p, d, relabelings):
     assert class_count(p, d) * math.factorial(p) == relabelings <= ORBIT_BUDGET
     _check_oracle_budget(p, d)
+
+
+def test_one_node_oracle_takes_entries_past_a_byte():
+    # a one-node key is its one entry, here 300, which no byte holds
+    assert oracle_census(1, 300) == build_census(1, 300)
 
 
 def test_one_node_oracle_memory_is_bounded():

@@ -31,6 +31,18 @@ def test_arc_matrix_shape_and_entries():
         ArcMatrix(((-1, 1), (2, 0)))
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [((0.5, 1.5), (1.5, 0.5)), ((1.0, 1), (1, 1)), ((True, False), (False, True)),
+     ((1, "1"), (1, 1)), ((None,),)],
+)
+def test_arc_matrix_refuses_entries_that_are_not_ints(rows):
+    with pytest.raises(ValueError, match="must be integers"):
+        ArcMatrix(rows)
+    with pytest.raises(ValueError, match="must be integers"):
+        ArcMatrix(((0,) * len(rows),) * len(rows))._replace(entries=rows)
+
+
 def test_arc_matrix_accepts_lists_and_hashes():
     a = ArcMatrix(([2, 0], [0, 2]))
     b = ArcMatrix(((2, 0), (0, 2)))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from collections import Counter
@@ -23,8 +24,21 @@ from dmcensus import (
 )
 
 from dmcensus.canonical import clear_cache
-from dmcensus.generate import _canonical_rows, _word_tally
-from oracles import brute_regular_matrices, brute_word_matrix, brute_words, word_tally
+from dmcensus.generate import (
+    _canonical_rows,
+    _key_rows,
+    _orbit_lister,
+    _plain_changes,
+    _word_tally,
+)
+from oracles import (
+    brute_regular_matrices,
+    brute_word_matrix,
+    brute_words,
+    relabel,
+    tally_key,
+    word_tally,
+)
 
 
 def test_single_node_matrix():
@@ -195,7 +209,7 @@ def test_word_to_matrix_rejects_malformed():
 @pytest.mark.parametrize("p,d", [(0, 2), (1, 5), (2, 3), (3, 2), (3, 3), (6, 1), (4, 2)])
 def test_word_tally_matches_brute_force(p, d):
     got = _word_tally(p, d)
-    expected = Counter(brute_word_matrix(w, p, d) for w in brute_words(p, d))
+    expected = Counter(tally_key(brute_word_matrix(w, p, d)) for w in brute_words(p, d))
     assert got == expected
     assert list(got) == list(expected)  # keys in order of first appearance
 
@@ -208,6 +222,29 @@ def test_word_tally_matches_the_per_word_tally(p, d):
     expected = word_tally(enumerate_words(p, d), p, d)
     assert got == expected
     assert list(got) == list(expected)  # the grouping meets each class's matrices in this order
+
+
+@pytest.mark.parametrize("p", range(8))
+def test_plain_changes_visit_every_ordering_once(p):
+    swaps = _plain_changes(p)
+    assert len(swaps) == max(math.factorial(p) - 1, 0)
+    order = list(range(p))
+    seen = [tuple(order)]
+    for i in swaps:
+        order[i], order[i + 1] = order[i + 1], order[i]
+        seen.append(tuple(order))
+    assert sorted(seen) == list(itertools.permutations(range(p)))
+
+
+@pytest.mark.parametrize("p, d", [(2, 3), (3, 2), (4, 2), (5, 1)])
+def test_orbit_lister_lists_every_relabeling(p, d):
+    # against brute force over every node ordering, for each key of the tally
+    orbit_of = _orbit_lister(p)
+    for key in _word_tally(p, d):
+        rows = _key_rows(key, p)
+        assert tally_key(rows) == key
+        expected = {tally_key(relabel(rows, order)) for order in itertools.permutations(range(p))}
+        assert orbit_of(key) == expected
 
 
 def test_word_tally_refuses_before_building_a_table():

@@ -1,4 +1,4 @@
-"""Time start-up and the census builds the bench does not run; write the numbers as JSON.
+"""Time start-up and the census sizes the bench does not run; write the numbers as JSON.
 
     python3 tools/time_builds.py --out BENCH_<n>.json
 
@@ -11,7 +11,11 @@ its own:
   checks, including the class count and the labeled count;
 - the orderly generator alone at (8,2), which census.CLASS_BUDGET refuses:
   its classes must number class_count(8, 2), and their p!/|Aut| must sum to
-  count_regular_matrices(8, 2).
+  count_regular_matrices(8, 2);
+- oracle_census at (6,2) and (8,1), the largest sizes census.WORD_BUDGET
+  and census.ORBIT_BUDGET admit, timed and its peak RSS read alone; it is
+  exact when compare_census finds no diff against build_census, which runs
+  after both readings.
 
 The startup record holds the wall seconds of three fresh interpreters on
 the same pinned CPU, RUNS of each, interleaved: a bare `python -c pass`, one
@@ -43,7 +47,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 RUNS = 3
 SIZES = (("build", 5, 2), ("build", 7, 2), ("build", 10, 1), ("build", 4, 6),
-         ("generator", 8, 2))
+         ("generator", 8, 2), ("oracle", 6, 2), ("oracle", 8, 1))
 HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "linecache", "typing",
          "importlib.resources", "pathlib", "re", "enum")
 IMPORT = ("import sys; bare = set(sys.modules); import dmcensus; dmcensus.load_catalog(); "
@@ -51,10 +55,11 @@ IMPORT = ("import sys; bare = set(sys.modules); import dmcensus; dmcensus.load_c
 
 
 def measure(kind: str, p: int, d: int) -> dict:
-    """Build the census (kind "build") or run the generator alone (kind
-    "generator") at (p, d) in this process; returns its CPU seconds, classes,
-    whether the exact counts held, and the process's peak RSS so far."""
-    from dmcensus import build_census
+    """Build the census (kind "build"), run the generator alone (kind
+    "generator") or the word oracle (kind "oracle") at (p, d) in this
+    process; returns its CPU seconds, classes, whether the exact counts
+    held, and the process's peak RSS as the timed work ends."""
+    from dmcensus import build_census, compare_census, oracle_census
     from dmcensus.canonical import clear_cache
     from dmcensus.generate import _canonical_rows, class_count, count_regular_matrices
 
@@ -63,6 +68,9 @@ def measure(kind: str, p: int, d: int) -> dict:
     if kind == "build":
         classes = len(build_census(p, d).entries)  # raises if a count is off
         exact = True
+    elif kind == "oracle":
+        report = oracle_census(p, d)
+        classes = len(report.entries)
     else:
         classes = labeled = 0
         for _, result in _canonical_rows(p, d):
@@ -70,8 +78,11 @@ def measure(kind: str, p: int, d: int) -> dict:
             labeled += math.factorial(p) // result.aut_order
         exact = (classes, labeled) == (class_count(p, d), count_regular_matrices(p, d))
     cpu_s = time.process_time() - start
+    peak_rss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    if kind == "oracle":
+        exact = not compare_census(report, build_census(p, d))
     return {"kind": kind, "p": p, "d": d, "classes": classes, "exact": exact, "cpu_s": cpu_s,
-            "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+            "peak_rss_mib": peak_rss_mib}
 
 
 def measure_in_child(kind: str, p: int, d: int) -> dict:
