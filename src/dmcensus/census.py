@@ -28,8 +28,10 @@ Neither route validates a labeled matrix.  The generator makes one ArcMatrix
 per canonical matrix, and the grouping one per class, from the least of its
 relabelings.  The oracle counts every word under an integer key of its
 matrix, unchecked, without listing the words: each key is a head key plus
-a tail key, and the tail keys are built once per multiset of symbols left
-after the head (see generate._word_tally).  In place of a per-word check,
+a tail key, from tail lists shared by the heads that leave the same
+multiset of symbols, and each row of the matrix has a slot of whole bytes
+in the key, so a distinct key decodes by int.to_bytes and a table of rows
+(see generate._word_tally).  In place of a per-word check,
 _finish_report requires each class's canonical matrix to be d-regular: a
 word with a wrong multiset projects to a non-regular matrix, so its class
 fails this check (or the orbit-stabilizer one).
@@ -260,18 +262,18 @@ def build_census(p: int, d: int) -> CensusReport:
 # The most configuration words oracle_census tallies; a larger oracle is
 # refused before anything is enumerated.  The tally's time follows the
 # words, timed on one core of a 2-vCPU host (tools/time_builds.py,
-# BENCH_20.json): at (6,2), 7,484,400 words, the whole oracle takes 2.1-2.9 s
-# of CPU, about three quarters of it in the tally, and at (4,3), 369,600
-# words, about 0.1 s.  The nearest word counts above it are 17,153,136 at
+# BENCH_21.json): at (6,2), 7,484,400 words, the whole oracle takes 2.0-3.2 s
+# of CPU, about two thirds of it in the tally, and at (4,3), 369,600 words,
+# 0.06-0.09 s.  The nearest word counts above it are 17,153,136 at
 # (3,6), 63,063,000 at (4,4), 168,168,000 at (5,3) and 681,080,400 at (7,2).
 WORD_BUDGET = 10**7
 
 # The most relabelings the oracle's orbit sweep lists, p! for each of the
 # class_count classes; a larger oracle is refused before anything is
 # enumerated.  The sweep's time follows the relabelings, timed on one core
-# of a 2-vCPU host (tools/time_builds.py, BENCH_20.json): the whole oracle
-# takes 1.6-2.2 s of CPU at (8,1), 887,040 relabelings, nearly all of it in
-# the sweep, and 2.1-2.9 s at (6,2), 285,840.  The word budget admits two
+# of a 2-vCPU host (tools/time_builds.py, BENCH_21.json): the whole oracle
+# takes 1.6-2.6 s of CPU at (8,1), 887,040 relabelings, nearly all of it in
+# the sweep, and 2.0-3.2 s at (6,2), 285,840.  The word budget admits two
 # sizes above it: (9,1), 10,886,400 relabelings, about 36 s (30 orbits of
 # 1.2 s each), and (10,1), 152,409,600.
 ORBIT_BUDGET = 10**6

@@ -62,7 +62,7 @@ def check_node_cap(p: int) -> None:
         raise NodeCapError(f"p={p} exceeds the supported maximum of {NODE_CAP} nodes")
 
 
-_INT = frozenset((int,))  # the one type an arc multiplicity may have
+_INT = frozenset((int,))  # the one type of an arc multiplicity, a node name or an image
 
 
 class _Checked:
@@ -121,13 +121,16 @@ class ArcMatrix(_Checked, NamedTuple("ArcMatrix", [("entries", tuple)])):
 class Permutation(_Checked, NamedTuple("Permutation", [("images", tuple)])):
     """Bijection on 0-based node indices; images[i] is the new name of node i.
 
-    len() is the number of images, not the one field.
+    Each image must be an int, not a bool or another subclass of int.  len()
+    is the number of images, not the one field.
     """
 
     __slots__ = ()
 
     def __new__(cls, images=()):
         images = tuple(images)
+        if not _INT.issuperset(map(type, images)):
+            raise ValueError(f"permutation images must be integers: {images!r}")
         if sorted(images) != list(range(len(images))):
             raise ValueError(f"not a permutation of 0..{len(images) - 1}: {images!r}")
         return super().__new__(cls, images)

@@ -26,10 +26,12 @@ _canonical_rows as plain row tuples, each with the CanonicalResult, and so
 the one ArcMatrix, of the walk that accepted it.  The word oracle in census
 does not list the words at all: _word_tally builds each word's integer key
 from a head key, over the first half of the positions, and a tail key from
-a table built once per multiset of symbols the head leaves, counts every
-word under its key and decodes each distinct key once, without that check
-(the oracle checks regularity once per class instead), into the oracle's
-key of the matrix: its entries as one bytes, row-major, for p >= 2.  The
+lists shared by every head that leaves the same multiset of symbols, and
+counts every word under its key in one Counter pass, without that check
+(the oracle checks regularity once per class instead).  The integer key
+gives each row of the matrix a slot of whole bytes, so each distinct key
+decodes once, by int.to_bytes and a table of rows, into the oracle's key
+of the matrix: its entries as one bytes, row-major, for p >= 2.  The
 grouping in census lists each class's relabelings of such a key with
 _orbit_lister and decodes the least with _key_rows, so the layout is known
 here alone.  enumerate_words, the words one by one, is the tally's test
@@ -41,9 +43,10 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable, Iterator
 from functools import cache
-from itertools import product
+from itertools import chain, product
 from math import comb, factorial, gcd
 from operator import itemgetter, le
+from struct import Struct
 
 from .canonical import CanonicalResult, _least_block, _result
 from .core import ArcMatrix, check_node_cap, total_configurations
@@ -241,66 +244,72 @@ def _word_tally(p: int, d: int) -> dict:
     byte, and bytes compare as the row-major lexicographic order that ranks
     census classes, so the least key of a class is its canonical matrix.
     For p <= 1 the key is the plain row tuple of the one matrix, since a
-    one-node entry is d and may pass 255.
+    one-node entry is d and may pass 255; there is one word, counted once.
 
     Keys are unchecked, in order of first appearance in enumerate_words'
-    lexicographic order.  Each word is summed to an integer key in base
-    d + 1: a symbol s in block j adds 1 to digit (s - 1) * p + j, the
-    row-major position of entry (s, j); each distinct key decodes once, by
-    divmod into rows of p digits.  The words are not listed one by one but
-    split in two (meet in the middle; Horowitz and Sahni 1974): the heads,
-    the first half of the positions in lexicographic order, each carry their
-    partial key and the symbols they leave, and the keys of the tails that
-    can follow are built once per left-over multiset.  Each head key plus
-    each of its tail keys is one word, counted once, so every word still
-    adds 1 to its own key and no count is multiplied.  A (p, d) past the
-    node cap or the count budget fails before any table is built.
+    lexicographic order.  Each word is summed to an integer key that gives
+    each row of the matrix a slot of w whole bytes, row i in bytes i * w to
+    (i + 1) * w - 1 of the key read little-endian.  A slot holds its row's
+    value in base d + 1, entry j as digit j, so a symbol s in block j adds
+    (d+1)^j << 8 * w * (s - 1).  w is the fewest bytes that hold the
+    (d+1)^p row values; the count budget keeps (d+1)^p <= 2^16 for p >= 2,
+    so w is 1 or 2.  Each distinct key decodes once, by int.to_bytes into
+    its p slots and one table of the (d+1)^p rows, indexed by value.
+
+    The words are not listed one by one but split in two (meet in the
+    middle; Horowitz and Sahni 1974).  The heads, fills of the first n // 2
+    of the n = d * p positions, are expanded one position at a time, as a
+    list in lexicographic order, each with its partial key and the symbols
+    it leaves.  The tails are built from the last position back: one list of
+    keys per position and multiset of symbols used from there on, in
+    lexicographic order, joined by C-level maps of int.__add__ from the
+    lists of the next position, which they share.  One Counter pass adds
+    each head key to each key of the tail list of the symbols it leaves:
+    each sum is one word and adds 1 to its own key, so no count is
+    multiplied.  No table outlives the call.  A (p, d) past the node cap or
+    the count budget fails before any table is built.
     """
     check_node_cap(p)
     total_configurations(p, d)
+    if p <= 1:
+        return {((d,),) * p: 1}
     base = d + 1
+    width = ((base**p - 1).bit_length() + 7) // 8  # bytes in a row's slot
     n = d * p
-    tables = [tuple(base ** (s * p + j) for s in range(p)) for j in range(p)]
+    half = n // 2
+    tables = [tuple(base**j << 8 * width * s for s in range(p)) for j in range(p)]
     digits = [tables[pos // d] for pos in range(n)]  # shared by the d positions of a block
-    row_size = base**p
 
-    def fills(start, stop, counts):
-        # (key, symbols left) for each fill of positions start..stop-1, in lex order
-        stack = [(start, 0, counts)]  # depth first, so at most p entries a position
-        while stack:
-            pos, key, left = stack.pop()
-            if pos == stop:
-                yield key, left
-                continue
-            table = digits[pos]
-            stack.extend(  # the least symbol on top
-                (pos + 1, key + table[s], (*left[:s], left[s] - 1, *left[s + 1 :]))
-                for s in range(p - 1, -1, -1)
-                if left[s]
-            )
+    def step(counts, s, by):  # counts with symbol s's count moved by `by`
+        return (*counts[:s], counts[s] + by, *counts[s + 1 :])
 
-    @cache
-    def tails(left):  # per left-over multiset, for the duration of one call
-        return [key for key, _ in fills(n // 2, n, left)]
+    tails = {(0,) * p: [0]}  # keys of the fills of positions pos..n-1, by the symbols used
+    for pos in range(n - 1, half - 1, -1):
+        table = digits[pos]
+        used = {step(m, s, 1) for m in tails for s in range(p) if m[s] < d}
+        tails = {
+            m: list(chain.from_iterable(
+                map(table[s].__add__, tails[step(m, s, -1)]) for s in range(p) if m[s]
+            ))
+            for m in used
+        }
+    heads = [(0, (d,) * p)]  # (key, symbols left) of each fill of the positions so far
+    for table in digits[:half]:
+        moves = {  # per multiset left, once: (digit, multiset left after it) per symbol
+            left: [(table[s], step(left, s, -1)) for s in range(p) if left[s]]
+            for left in {left for _, left in heads}
+        }
+        heads = [(key + digit, rest) for key, left in heads for digit, rest in moves[left]]
 
-    keys: Counter[int] = Counter()
-    for head, left in fills(0, n // 2, (d,) * p):
-        keys.update(map(head.__add__, tails(left)))
-    if p <= 1:  # a one-node key is its one entry, which may pass 255
-        return {((key,),) * p: count for key, count in keys.items()}
-
-    @cache
-    def row(value):  # rows recur across matrices; decode each value once
-        return bytes(value // base**j % base for j in range(p))
-
-    def decode(key):
-        out = []
-        for _ in range(p):
-            key, value = divmod(key, row_size)
-            out.append(row(value))
-        return b"".join(out)
-
-    return {decode(key): count for key, count in keys.items()}
+    keys = Counter(chain.from_iterable(map(key.__add__, tails[left]) for key, left in heads))
+    del heads, tails  # the decoded keys take more room; do not hold these beside them
+    rows = [bytes(reversed(row)) for row in product(range(base), repeat=p)]  # by value
+    slots = Struct(f"<{p}{'BH'[width - 1]}").unpack
+    size = width * p
+    return {
+        b"".join(map(rows.__getitem__, slots(key.to_bytes(size, "little")))): count
+        for key, count in keys.items()
+    }
 
 
 def _plain_changes(p: int) -> list[int]:

@@ -15,9 +15,10 @@ are normalized to sorted order.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple
 
-from .core import ArcMatrix, _Checked
+from .core import ArcMatrix, _Checked, _INT
 
 
 class MonomialParseError(ValueError):
@@ -46,12 +47,20 @@ class DegreeError(ValueError):
 
 
 class Monomial(_Checked, NamedTuple("Monomial", [("factors", tuple)])):
-    """Multiset of (source, target) arc factors, kept sorted; () is the constant 1."""
+    """Multiset of (source, target) arc factors, kept sorted; () is the constant 1.
+
+    Each node name must be an int, not a float, a bool or another subclass
+    of int.
+    """
 
     __slots__ = ()
 
     def __new__(cls, factors=()):
-        factors = tuple(sorted((int(i), int(j)) for i, j in factors))
+        factors = [(i, j) for i, j in factors]
+        if not _INT.issuperset(map(type, chain.from_iterable(factors))):
+            bad = next(f for f in factors if not _INT.issuperset(map(type, f)))
+            raise ValueError(f"node names must be integers: {bad!r}")
+        factors = tuple(sorted(factors))
         for i, j in factors:
             if i < 1 or j < 1:
                 raise ValueError(f"node names start at 1: ({i},{j})")
@@ -217,7 +226,7 @@ def matrix_to_monomial(matrix: ArcMatrix) -> Monomial:
     """Inverse encoding: factor (i, j) repeated entries[i][j] times, sorted.
 
     The factors are built in sorted order from enumerate's 1-based indices,
-    so the result skips Monomial's sort and int() pass.
+    so the result skips Monomial's type check and sort.
     """
     factors = []
     for i, row in enumerate(matrix.entries, start=1):

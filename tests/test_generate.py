@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import tracemalloc
 from collections import Counter
 
@@ -215,13 +216,31 @@ def test_word_tally_matches_brute_force(p, d):
 
 
 @pytest.mark.parametrize(
-    "p,d", [(0, 2), (1, 5), (2, 3), (3, 2), (3, 3), (6, 1), (4, 2), (5, 2), (2, 4)]
+    "p,d",
+    # (8,1)'s rows take values up to 255, the most a one-byte row slot holds
+    [(0, 2), (1, 5), (2, 3), (3, 2), (3, 3), (6, 1), (4, 2), (5, 2), (2, 4), (8, 1)],
 )
 def test_word_tally_matches_the_per_word_tally(p, d):
     got = _word_tally(p, d)
     expected = word_tally(enumerate_words(p, d), p, d)
     assert got == expected
     assert list(got) == list(expected)  # the grouping meets each class's matrices in this order
+
+
+def test_word_tally_decodes_two_byte_row_slots():
+    # (9,1), rows up to 511, is the smallest size whose row slots take two
+    # bytes.  At d = 1 each word is a permutation of the nodes, in
+    # lexicographic order, and the only word of its permutation matrix,
+    # whose entry (s, j) is here byte (s - 1) * p + j of a little-endian int.
+    p = 9
+    entries = [{s: 1 << 8 * ((s - 1) * p + j) for s in range(1, p + 1)} for j in range(p)]
+    expected = [
+        sum(map(operator.getitem, entries, word)).to_bytes(p * p, "little")
+        for word in itertools.permutations(range(1, p + 1))
+    ]
+    got = _word_tally(p, 1)
+    assert list(got) == expected
+    assert set(got.values()) == {1}
 
 
 @pytest.mark.parametrize("p", range(8))

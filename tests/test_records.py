@@ -57,6 +57,26 @@ def test_permutation_len_counts_images():
     assert repr(perm) == "Permutation(images=(1, 2, 0))"
 
 
+@pytest.mark.parametrize("images", [(True, False), (1, 0.0), (0.0,), ("0",), (None,)])
+def test_permutation_refuses_images_that_are_not_ints(images):
+    for build in (
+        lambda: Permutation(images),
+        lambda: Permutation._make([images]),
+        lambda: Permutation((0,))._replace(images=images),
+    ):
+        with pytest.raises(ValueError, match="images must be integers"):
+            build()
+
+
+@pytest.mark.parametrize(
+    "factors", [((1.5, 2.9),), (("1", True),), ((1, True),), ((2, 1), (1, 2.0)), ((None, 1),)]
+)
+def test_monomial_refuses_node_names_that_are_not_ints(factors):
+    for build in (lambda: Monomial(factors), lambda: Monomial(((1, 1),))._replace(factors=factors)):
+        with pytest.raises(ValueError, match="node names must be integers"):
+            build()
+
+
 def all_records(census_d2, oracle_d2, catalog):
     report = census_d2(2)
     verification = verify_against_catalog(report, catalog)
