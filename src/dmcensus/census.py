@@ -352,6 +352,41 @@ def _plain_ints(fields: list[str]) -> list[int]:
     return ints
 
 
+def _read_csv(text: str, source: str, header: list[str], ints: int, what: str) -> list[list]:
+    """The records of CSV text under header: one list of fields per row, its
+    first ints fields as integers.  The one reader of both CSV inputs, the
+    catalog and the rendered census.
+
+    Blank lines are skipped anywhere.  Raises ValueError, naming source, for
+    text that is not CSV, does not start with header or has no records; and,
+    naming the line as the csv module counts lines (a quoted line break
+    counts), for a row without len(header) fields or whose integer fields,
+    called what, are not written as _plain_ints requires.
+    """
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = [(reader.line_num, row) for row in reader if row]
+    except csv.Error as exc:
+        raise ValueError(f"{source}: {exc}") from None
+    if not rows or rows[0][1] != header:
+        raise ValueError(f"{source} does not start with the header {','.join(header)}")
+    records = []
+    for line, row in rows[1:]:
+        if len(row) != len(header):
+            raise ValueError(
+                f"{source} line {line}: expected {len(header)} fields, got {len(row)}"
+            )
+        try:
+            records.append([*_plain_ints(row[:ints]), *row[ints:]])
+        except ValueError:
+            raise ValueError(
+                f"{source} line {line}: {what} not written as plain integers"
+            ) from None
+    if not records:
+        raise ValueError(f"{source} has no records")
+    return records
+
+
 class CatalogRecord(NamedTuple):
     """One reference-catalog row: designation triple plus monomial text."""
 
@@ -374,33 +409,9 @@ class Catalog(NamedTuple):
     @classmethod
     def from_csv_text(cls, text: str) -> "Catalog":
         """Parse catalog CSV text; raises ValueError for anything else."""
-        reader = csv.reader(io.StringIO(text, newline=""))
-        try:
-            rows = [(reader.line_num, row) for row in reader]
-        except csv.Error as exc:
-            raise ValueError(f"catalog CSV: {exc}") from None
-        if not rows:
-            raise ValueError("catalog CSV is empty")
-        header = rows[0][1]
-        if header != ["p", "rank", "cardinality", "monomial", "note"]:
-            raise ValueError(f"unexpected catalog CSV header: {header!r}")
-        records = []
-        for lineno, row in rows[1:]:
-            if not row:
-                continue
-            if len(row) != 5:
-                raise ValueError(f"catalog CSV line {lineno}: expected 5 fields, got {len(row)}")
-            try:
-                designation = _plain_ints(row[:3])
-            except ValueError:
-                raise ValueError(
-                    f"catalog CSV line {lineno}: designation not written as plain integers"
-                ) from None
-            records.append(CatalogRecord(*designation, row[3], row[4]))
-        if not records:
-            # verify would otherwise check no size and still pass.
-            raise ValueError("catalog CSV has no records")
-        return cls(tuple(records))
+        # A catalog without records would let verify check no size and still pass.
+        rows = _read_csv(text, "catalog CSV", list(CatalogRecord._fields), 3, "designation")
+        return cls(tuple(CatalogRecord(*row) for row in rows))
 
     def for_p(self, p: int) -> tuple[CatalogRecord, ...]:
         return tuple(r for r in self.records if r.p == p)

@@ -22,6 +22,7 @@ from .census import (
     VerificationReport,
     _check_oracle_budget,
     _plain_ints,
+    _read_csv,
     build_census,
     class_lookup,
     compare_census,
@@ -152,24 +153,8 @@ def parse_census_csv(text: str) -> CensusReport:
 
     Raises ValueError for any text that is not such output.
     """
-    try:
-        rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
-    except csv.Error as exc:
-        raise ValueError(f"census CSV: {exc}") from None
-    if not rows or rows[0] != CSV_COLUMNS:
-        raise ValueError(f"census CSV does not start with the header {','.join(CSV_COLUMNS)}")
-    records = []
-    for row in rows[1:]:
-        if len(row) != len(CSV_COLUMNS):
-            raise ValueError(f"census CSV row {row!r} does not have {len(CSV_COLUMNS)} fields")
-        try:
-            counts = _plain_ints(row[:-1])
-        except ValueError:
-            raise ValueError(
-                f"census CSV row {row!r} has a count not written as a plain integer"
-            ) from None
-        records.append(dict(zip(CSV_COLUMNS, [*counts, row[-1]])))
-    return _report_from_records(records, "census CSV")
+    rows = _read_csv(text, "census CSV", CSV_COLUMNS, len(COUNT_COLUMNS), "counts")
+    return _report_from_records([dict(zip(CSV_COLUMNS, row)) for row in rows], "census CSV")
 
 
 def render_census_jsonl(report: CensusReport, catalog_ranks: dict[int, int]) -> str:

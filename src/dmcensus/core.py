@@ -135,16 +135,6 @@ class Permutation(_Checked, NamedTuple("Permutation", [("images", tuple)])):
             raise ValueError(f"not a permutation of 0..{len(images) - 1}: {images!r}")
         return super().__new__(cls, images)
 
-    @classmethod
-    def identity(cls, p: int) -> "Permutation":
-        return cls(tuple(range(p)))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, image in enumerate(self.images):
-            inv[image] = i
-        return Permutation(tuple(inv))
-
     def __len__(self):
         return len(self.images)
 
@@ -162,20 +152,6 @@ class ClassId(NamedTuple):
 
     def __str__(self):
         return f"{self.p},{self.rank},{self.cardinality}"
-
-
-def apply_permutation(matrix: ArcMatrix, perm: Permutation) -> ArcMatrix:
-    """Relabel nodes: result[perm(i)][perm(j)] = matrix[i][j]."""
-    p = matrix.p
-    if len(perm) != p:
-        raise DimensionError(
-            f"permutation on {len(perm)} names applied to a {p}-node matrix"
-        )
-    inv = perm.inverse().images
-    rows = matrix.entries
-    return ArcMatrix(
-        tuple(tuple(rows[inv[a]][inv[b]] for b in range(p)) for a in range(p))
-    )
 
 
 def is_regular(matrix: ArcMatrix, d: int) -> bool:

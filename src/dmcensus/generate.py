@@ -339,10 +339,9 @@ def _orbit_lister(p: int) -> Callable[..., set]:
     It takes them along _plain_changes(p): each is the one before with two
     adjacent nodes swapped, their rows and their columns, made by one of
     p - 1 byte getters shared by the whole sweep.  The set it returns holds
-    every distinct relabeling once, so its size is p!/|Aut|.
+    every distinct relabeling once, so its size is p!/|Aut|; for p <= 1 the
+    sweep is empty and the set holds the key alone.
     """
-    if p <= 1:
-        return lambda key: {key}
     swaps = []
     for i in range(p - 1):
         node = list(range(p))

@@ -1,7 +1,8 @@
 """Independent brute-force reference implementations, used only for checking.
 
 Everything here works on plain tuples-of-tuples and itertools so the checks
-stay independent of the library's own search and generation code.
+stay independent of the library's own search and generation code;
+apply_permutation alone takes and returns the library's record types.
 """
 
 import itertools
@@ -9,7 +10,7 @@ from collections import Counter
 from functools import cache
 from operator import getitem
 
-from dmcensus.core import check_node_cap, total_configurations
+from dmcensus.core import ArcMatrix, check_node_cap, total_configurations
 
 Rows = tuple  # tuple[tuple[int, ...], ...]
 
@@ -18,6 +19,12 @@ def relabel(rows, order):
     """Matrix obtained by placing original node order[a] at position a."""
     p = len(rows)
     return tuple(tuple(rows[order[a]][order[b]] for b in range(p)) for a in range(p))
+
+
+def apply_permutation(matrix, perm):
+    """Relabel an ArcMatrix by a Permutation: result[perm(i)][perm(j)] = matrix[i][j]."""
+    images = perm.images
+    return ArcMatrix(relabel(matrix.entries, sorted(range(len(images)), key=images.__getitem__)))
 
 
 def brute_canonical(rows):

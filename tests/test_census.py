@@ -48,6 +48,7 @@ from dmcensus.census import (
     _finish_report,
     _group_by_canonical,
 )
+from dmcensus.cli import parse_census_csv
 from dmcensus.generate import _canonical_rows, _result, _word_tally
 from oracles import naive_least_relabeling, relabel, tally_key, word_tally
 
@@ -469,7 +470,7 @@ def test_naive_search_catches_a_generated_class_that_is_not_the_least_relabeling
     rows, result = stream[index]
     flipped = ArcMatrix(flip(rows))
     stream[index] = (flipped.entries,
-                     result._replace(canonical=flipped, witness=Permutation.identity(4)))
+                     result._replace(canonical=flipped, witness=Permutation(range(4))))
     monkeypatch.setattr(dmcensus.census, "_canonical_rows", lambda p, d: iter(stream))
     monkeypatch.setattr(dmcensus.canonical, "_memo", {})  # the build stores the result
     assert _naive_search_misses(build_census(4, 4).entries) == [flipped]
@@ -676,6 +677,7 @@ def test_reports_are_deterministic(census_d2):
 
 
 CATALOG_HEADER = "p,rank,cardinality,monomial,note\n"
+CSV_HEADER = "p,d,rank,cardinality,aut_order,weight,monomial\n"
 
 
 def csv_text(rows):
@@ -709,7 +711,7 @@ def test_catalog_reader_fuzz(text):
 def test_catalog_keeps_line_breaks_in_quoted_notes(note, terminator):
     out = io.StringIO()
     writer = csv.writer(out, lineterminator=terminator)
-    writer.writerows([CATALOG_HEADER.strip().split(","), [2, 1, 4, "x11 x12 x22 x21", note],
+    writer.writerows([[], CATALOG_HEADER.strip().split(","), [2, 1, 4, "x11 x12 x22 x21", note],
                       [], [2, 2, 1, "x12 x12 x21 x21", ""]])
     catalog = Catalog.from_csv_text(out.getvalue())
     assert [r.note for r in catalog.records] == [note, ""]
@@ -717,14 +719,20 @@ def test_catalog_keeps_line_breaks_in_quoted_notes(note, terminator):
 
 
 def test_catalog_without_records_is_refused():
-    with pytest.raises(ValueError, match="no records"):
-        Catalog.from_csv_text(CATALOG_HEADER + "\n")
+    # The census CSV has the same reader.
+    for parse, header in ((Catalog.from_csv_text, CATALOG_HEADER), (parse_census_csv, CSV_HEADER)):
+        for text in (header + "\n", header, "\n" + header):
+            with pytest.raises(ValueError, match="no records"):
+                parse(text)
 
 
 def test_catalog_error_line_counts_quoted_line_breaks():
     text = CATALOG_HEADER + '2,1,4,x11,"two\nlines"\n\n2,2,1\n'
     with pytest.raises(ValueError, match="line 5: expected 5 fields, got 3"):
         Catalog.from_csv_text(text)
+    text = CSV_HEADER + '1,2,1,1,1,1,"x11\nx11"\n\n1,2,1\n'
+    with pytest.raises(ValueError, match="census CSV line 5: expected 7 fields, got 3"):
+        parse_census_csv(text)
 
 
 @pytest.mark.parametrize("spelling", ["+1", "0_1", "١", " 1", "01", "-0", "1.0"])

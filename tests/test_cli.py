@@ -83,6 +83,7 @@ def test_csv_round_trip(census_d2):
     for p in range(5):
         report = census_d2(p)
         assert parse_census_csv(render_census_csv(report)) == report
+        assert parse_census_csv("\n" + render_census_csv(report)) == report
 
 
 def test_jsonl_round_trip(census_d2):
@@ -138,6 +139,9 @@ P2_UNSORTED = (
     [
         (parse_census_csv, ""),
         (parse_census_csv, CSV_HEADER),
+        pytest.param(parse_census_csv, "\n" + CSV_HEADER + "\n", id="csv-blank-lines-only"),
+        pytest.param(parse_census_csv, CSV_HEADER + '1,2,1,1,1,1,"x11\nx11"\n\n1,2\n',
+                     id="csv-short-row-after-quoted-line-break"),
         (parse_census_csv, CSV_HEADER + "1,2,1,1,0,1,x11 x11\n"),
         (parse_census_csv, CSV_HEADER + "1,2,1,1,1,2,x11 x11\n"),
         (parse_census_csv, CSV_HEADER + "1,2,1,2,1,1,x11 x11\n"),
@@ -350,7 +354,7 @@ def test_verify_catches_a_generated_class_that_is_not_the_least_relabeling(monke
     rows, result = stream[index]
     flipped = ArcMatrix(flip(rows))
     stream[index] = (flipped.entries,
-                     result._replace(canonical=flipped, witness=Permutation.identity(3)))
+                     result._replace(canonical=flipped, witness=Permutation(range(3))))
     monkeypatch.setattr(dmcensus.census, "_canonical_rows", lambda p, d: iter(stream))
     monkeypatch.setattr(dmcensus.canonical, "_memo", {})  # the build stores the result
     assert run_cli(["verify", "-p", "3"]) == 1

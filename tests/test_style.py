@@ -34,3 +34,19 @@ def test_package_modules_use_every_name_they_import():
         exported = set(dmcensus.__all__) if path.name == "__init__.py" else set()
         unused += [f"{path.name}: {name}" for name in sorted(imported - read - exported)]
     assert unused == []
+
+
+def test_package_exports_exactly_what_it_imports():
+    # A name dropped from __init__'s imports but left in __all__ passes every
+    # other test and breaks only "from dmcensus import *".
+    tree = ast.parse(Path(dmcensus.__file__).read_text("utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    exported = dmcensus.__all__
+    assert len(exported) == len(set(exported))
+    assert [name for name in exported if not hasattr(dmcensus, name)] == []
+    assert set(exported) == imported
