@@ -92,7 +92,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import ArcMatrix, CensusInvariantError, Permutation, check_node_cap
+from .core import ArcMatrix, CensusInvariantError, check_node_cap
 
 # Memo capacity.  Measured traffic is a few hundred distinct inputs per job
 # (see above).  With the census built by orderly generation and the
@@ -106,12 +106,13 @@ _MEMO_SIZE = 2**15
 
 
 class CanonicalResult(NamedTuple):
-    """Canonical representative, automorphism group order, and a witness
-    permutation mapping the input onto the canonical form."""
+    """Canonical representative, automorphism group order, and a witness: the
+    images w of a relabeling that carries the input onto the canonical form,
+    canonical[w[i]][w[j]] == input[i][j], so w[i] is the new index of node i."""
 
     canonical: ArcMatrix
     aut_order: int
-    witness: Permutation
+    witness: tuple[int, ...]
 
 
 def _orbit_cells(gens: list[list[int]], fixed, p: int) -> list[int]:
@@ -232,7 +233,7 @@ def _result(rows: tuple[tuple[int, ...], ...], best, first, gens) -> CanonicalRe
     for position, v in enumerate(first):
         images[v] = position
     canon = tuple.__new__(ArcMatrix, (tuple(map(tuple, best)),))  # relabeled valid rows, unchecked
-    return CanonicalResult(canon, aut_order, Permutation(tuple(images)))
+    return CanonicalResult(canon, aut_order, tuple(images))
 
 
 # rows -> CanonicalResult, oldest first, at most _MEMO_SIZE entries
@@ -243,11 +244,15 @@ def _remember(rows: tuple[tuple[int, ...], ...], result: CanonicalResult) -> Non
     """Memoize the result for rows, dropping the oldest entry when the memo is
     full; a size of 0 stores nothing.
 
-    The witness must carry rows onto the canonical form, canon[w(i)][w(j)] ==
-    rows[i][j]; a result that fails this raises CensusInvariantError and is
-    not stored.
+    The witness must be a permutation of 0..p-1 that carries rows onto the
+    canonical form, canon[w[i]][w[j]] == rows[i][j]; a result that fails
+    either raises CensusInvariantError and is not stored.
     """
-    canon, images = result.canonical.entries, result.witness.images
+    canon, images = result.canonical.entries, result.witness
+    if sorted(images) != list(range(len(rows))):
+        raise CensusInvariantError(
+            f"witness {images} is not a permutation of 0..{len(rows) - 1}"
+        )
     if any(canon[images[i]][images[j]] != x
            for i, row in enumerate(rows) for j, x in enumerate(row)):
         raise CensusInvariantError(

@@ -18,20 +18,16 @@ Two independent routes produce the census for (p, d).
   relabelings of the first key of the class left in the tally, listed by
   brute force and popped, give the canonical matrix, their least, and
   |Aut|, p! over their number (orbit-stabilizer), and the class's words
-  must split evenly over them.  A key is the matrix's entries as bytes,
-  laid out, listed and decoded in generate alone (see
-  generate._word_tally).  An oracle of more than WORD_BUDGET words, or
+  must split evenly over them.  Keys are laid out, listed and decoded in
+  generate alone, and their layout is stated once, in
+  generate._word_tally.  An oracle of more than WORD_BUDGET words, or
   whose orbit sweep would list more than ORBIT_BUDGET relabelings, is
   refused before any word is counted.
 
 Neither route validates a labeled matrix.  The generator makes one ArcMatrix
 per canonical matrix, and the grouping one per class, from the least of its
-relabelings.  The oracle counts every word under an integer key of its
-matrix, unchecked, without listing the words: each key is a head key plus
-a tail key, from tail lists shared by the heads that leave the same
-multiset of symbols, and each row of the matrix has a slot of whole bytes
-in the key, so a distinct key decodes by int.to_bytes and a table of rows
-(see generate._word_tally).  In place of a per-word check,
+relabelings.  The oracle counts every word under a key of its matrix,
+unchecked, without listing the words.  In place of a per-word check,
 _finish_report requires each class's canonical matrix to be d-regular: a
 word with a wrong multiset projects to a non-regular matrix, so its class
 fails this check (or the orbit-stabilizer one).
@@ -421,12 +417,16 @@ class Catalog(NamedTuple):
 
 
 def load_catalog(path: str | Path | None = None) -> Catalog:
-    """Load a catalog CSV; with no path, the catalog bundled with the package."""
+    """Load a catalog CSV; with no path, the catalog bundled with the package.
+
+    A file that starts with a byte-order mark, as spreadsheet programs save
+    CSV, reads as the same file without it.
+    """
     if path is None:
-        text = resources.files("dmcensus").joinpath("data/reference_catalog.csv").read_text("utf-8")
+        source = resources.files("dmcensus").joinpath("data/reference_catalog.csv")
     else:
-        text = Path(path).read_text("utf-8")
-    return Catalog.from_csv_text(text)
+        source = Path(path)
+    return Catalog.from_csv_text(source.read_text("utf-8-sig"))
 
 
 class RecordCheck(NamedTuple):

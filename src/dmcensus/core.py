@@ -62,7 +62,7 @@ def check_node_cap(p: int) -> None:
         raise NodeCapError(f"p={p} exceeds the supported maximum of {NODE_CAP} nodes")
 
 
-_INT = frozenset((int,))  # the one type of an arc multiplicity, a node name or an image
+_INT = frozenset((int,))  # the one type of an arc multiplicity or a node name
 
 
 class _Checked:
@@ -116,27 +116,6 @@ class ArcMatrix(_Checked, NamedTuple("ArcMatrix", [("entries", tuple)])):
         if not self.entries:
             return "[]"
         return "; ".join(" ".join(str(e) for e in row) for row in self.entries)
-
-
-class Permutation(_Checked, NamedTuple("Permutation", [("images", tuple)])):
-    """Bijection on 0-based node indices; images[i] is the new name of node i.
-
-    Each image must be an int, not a bool or another subclass of int.  len()
-    is the number of images, not the one field.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, images=()):
-        images = tuple(images)
-        if not _INT.issuperset(map(type, images)):
-            raise ValueError(f"permutation images must be integers: {images!r}")
-        if sorted(images) != list(range(len(images))):
-            raise ValueError(f"not a permutation of 0..{len(images) - 1}: {images!r}")
-        return super().__new__(cls, images)
-
-    def __len__(self):
-        return len(self.images)
 
 
 class ClassId(NamedTuple):

@@ -28,11 +28,10 @@ does not list the words at all: _word_tally builds each word's integer key
 from a head key, over the first half of the positions, and a tail key from
 lists shared by every head that leaves the same multiset of symbols, and
 counts every word under its key in one Counter pass, without that check
-(the oracle checks regularity once per class instead).  The integer key
-gives each row of the matrix a slot of whole bytes, so each distinct key
-decodes once, by int.to_bytes and a table of rows, into the oracle's key
-of the matrix: its entries as one bytes, row-major, for p >= 2.  The
-grouping in census lists each class's relabelings of such a key with
+(the oracle checks regularity once per class instead).  Each distinct
+integer key decodes once into the oracle's key of the matrix, and both
+layouts are stated in _word_tally's docstring alone.  The grouping in
+census lists each class's relabelings of such a key with
 _orbit_lister and decodes the least with _key_rows, so the layout is known
 here alone.  enumerate_words, the words one by one, is the tally's test
 reference.
@@ -214,9 +213,6 @@ def enumerate_words(p: int, d: int) -> Iterator[Word]:
     """
     check_node_cap(p)
     total_configurations(p, d)
-    if p == 0:
-        yield ()
-        return
     word = [s for s in range(1, p + 1) for _ in range(d)]
     n = len(word)
     while True:

@@ -2,7 +2,7 @@
 
 Everything here works on plain tuples-of-tuples and itertools so the checks
 stay independent of the library's own search and generation code;
-apply_permutation alone takes and returns the library's record types.
+apply_permutation alone takes and returns an ArcMatrix.
 """
 
 import itertools
@@ -21,9 +21,8 @@ def relabel(rows, order):
     return tuple(tuple(rows[order[a]][order[b]] for b in range(p)) for a in range(p))
 
 
-def apply_permutation(matrix, perm):
-    """Relabel an ArcMatrix by a Permutation: result[perm(i)][perm(j)] = matrix[i][j]."""
-    images = perm.images
+def apply_permutation(matrix, images):
+    """Relabel an ArcMatrix by a tuple of images: result[images[i]][images[j]] = matrix[i][j]."""
     return ArcMatrix(relabel(matrix.entries, sorted(range(len(images)), key=images.__getitem__)))
 
 

@@ -15,7 +15,6 @@ from pathlib import Path
 
 import dmcensus
 from dmcensus import (
-    Permutation,
     build_census,
     canonical_form,
     class_lookup,
@@ -127,7 +126,7 @@ def test_criterion_6_property_suites(census_d2):
             matrix = rng.choice(pool)
             images = list(range(p))
             rng.shuffle(images)
-            perm = Permutation(tuple(images))
+            perm = tuple(images)
             relabeled = apply_permutation(matrix, perm)
             base = canonical_form(matrix)
             moved = canonical_form(relabeled)

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from dmcensus import (
     ArcMatrix,
+    CanonicalResult,
     CensusInvariantError,
     NodeCapError,
-    Permutation,
     build_census,
     canonical_form,
     enumerate_regular_matrices,
@@ -42,11 +42,11 @@ from oracles import (
 def random_permutation(rng, p):
     images = list(range(p))
     rng.shuffle(images)
-    return Permutation(tuple(images))
+    return tuple(images)
 
 
 def brute_images(rows):
-    """The images of brute_witness(rows), as a Permutation holds them."""
+    """The images of brute_witness(rows), as CanonicalResult.witness holds them."""
     images = [0] * len(rows)
     for position, v in enumerate(brute_witness(rows)):
         images[v] = position
@@ -57,14 +57,14 @@ def test_null_graph():
     result = canonical_form(ArcMatrix(()))
     assert result.canonical == ArcMatrix(())
     assert result.aut_order == 1
-    assert result.witness == Permutation(())
+    assert result.witness == ()
 
 
 def test_symmetric_two_node():
     result = canonical_form(ArcMatrix(((1, 1), (1, 1))))
     assert result.canonical == ArcMatrix(((1, 1), (1, 1)))
     assert result.aut_order == 2
-    assert result.witness == Permutation(range(2))
+    assert result.witness == tuple(range(2))
 
 
 def test_double_three_cycle():
@@ -95,7 +95,7 @@ def test_exhaustive_agreement_with_brute_force(p, d):
                                  (2, 3), (3, 3)])
 def test_witness_is_the_least_minimal_ordering(p, d):
     for m in enumerate_regular_matrices(p, d):
-        assert canonical_form(m).witness.images == brute_images(m.entries)
+        assert canonical_form(m).witness == brute_images(m.entries)
 
 
 @pytest.mark.parametrize("p,d", [(2, 2), (3, 2), (4, 2), (3, 3), (4, 1), (5, 1)])
@@ -118,7 +118,7 @@ def test_search_of_a_relabeling_of_every_class_agrees_with_brute_force(p, d):
         result = canonical_form(m)
         assert result.canonical.entries == brute_canonical(m.entries)
         assert result.aut_order == brute_aut_order(m.entries)
-        assert result.witness.images == brute_images(m.entries)
+        assert result.witness == brute_images(m.entries)
 
 
 @pytest.mark.parametrize("cycles, aut", [((10,), 10), ((2, 8), 16)])
@@ -317,7 +317,14 @@ def wrong_witness(m):
     """canonical_form(m) with its witness followed by the swap of nodes 0 and 1."""
     result = canonical_form(m)
     swap = (1, 0, *range(2, m.p))
-    return result._replace(witness=Permutation(tuple(swap[w] for w in result.witness.images)))
+    return result._replace(witness=tuple(swap[w] for w in result.witness))
+
+
+def non_bijective_witness():
+    """Rows and a result whose witness (0, 0) is no bijection, although every
+    entry check canon[w[i]][w[j]] == rows[i][j] holds."""
+    m = ArcMatrix(((1, 1), (1, 1)))
+    return m.entries, CanonicalResult(m, 2, (0, 0))
 
 
 def test_memo_refuses_a_wrong_witness():
@@ -328,6 +335,9 @@ def test_memo_refuses_a_wrong_witness():
     with pytest.raises(CensusInvariantError, match="does not carry"):
         _remember(m.entries, wrong)
     assert _memo == {m.entries: result}
+    with pytest.raises(CensusInvariantError, match="not a permutation of 0..1"):
+        _remember(*non_bijective_witness())
+    assert _memo == {m.entries: result}
 
 
 # The same check in a python -O process, where assert statements are stripped.
@@ -335,19 +345,20 @@ OPTIMIZED_CHECK = """
 import sys
 from dmcensus import ArcMatrix, CensusInvariantError, canonical_form
 from dmcensus.canonical import _memo, _remember
-from test_canonical import wrong_witness
+from test_canonical import non_bijective_witness, wrong_witness
 if __debug__:
     sys.exit("not running under -O")
 m = ArcMatrix(((0, 2, 0), (0, 0, 2), (2, 0, 0)))
 result = canonical_form(m)
-try:
-    _remember(m.entries, wrong_witness(m))
-except CensusInvariantError:
-    pass
-else:
-    sys.exit("a wrong witness was stored")
-if _memo != {m.entries: result}:
-    sys.exit("the memo changed")
+for rows, wrong in ((m.entries, wrong_witness(m)), non_bijective_witness()):
+    try:
+        _remember(rows, wrong)
+    except CensusInvariantError:
+        pass
+    else:
+        sys.exit(f"the wrong witness {wrong.witness} was stored")
+    if _memo != {m.entries: result}:
+        sys.exit("the memo changed")
 """
 
 
@@ -368,7 +379,7 @@ def regular_matrices(draw):
     for _ in range(d):
         for i, j in enumerate(draw(st.permutations(range(p)))):
             grid[i][j] += 1
-    relabeling = Permutation(tuple(draw(st.permutations(range(p)))))
+    relabeling = tuple(draw(st.permutations(range(p))))
     return ArcMatrix(tuple(map(tuple, grid))), relabeling
 
 
@@ -384,4 +395,4 @@ def test_canonical_search_fuzz(case):
     if m.p <= 6:
         assert result.canonical.entries == brute_canonical(m.entries)
         assert result.aut_order == brute_aut_order(m.entries)
-        assert result.witness.images == brute_images(m.entries)
+        assert result.witness == brute_images(m.entries)

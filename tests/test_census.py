@@ -23,7 +23,6 @@ from dmcensus import (
     CountBudgetError,
     DegreeError,
     NodeCapError,
-    Permutation,
     build_census,
     canonical_form,
     class_count,
@@ -470,7 +469,7 @@ def test_naive_search_catches_a_generated_class_that_is_not_the_least_relabeling
     rows, result = stream[index]
     flipped = ArcMatrix(flip(rows))
     stream[index] = (flipped.entries,
-                     result._replace(canonical=flipped, witness=Permutation(range(4))))
+                     result._replace(canonical=flipped, witness=tuple(range(4))))
     monkeypatch.setattr(dmcensus.census, "_canonical_rows", lambda p, d: iter(stream))
     monkeypatch.setattr(dmcensus.canonical, "_memo", {})  # the build stores the result
     assert _naive_search_misses(build_census(4, 4).entries) == [flipped]

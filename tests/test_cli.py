@@ -1,3 +1,4 @@
+import codecs
 import csv
 import hashlib
 import io
@@ -5,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 import dmcensus
 import dmcensus.census
 import dmcensus.cli
-from dmcensus import ArcMatrix, Permutation, build_census, emit_dot, oracle_census, run_cli, weight
+from dmcensus import ArcMatrix, build_census, emit_dot, oracle_census, run_cli, weight
 from dmcensus.cli import (
     parse_census_csv,
     parse_census_jsonl,
@@ -354,7 +356,7 @@ def test_verify_catches_a_generated_class_that_is_not_the_least_relabeling(monke
     rows, result = stream[index]
     flipped = ArcMatrix(flip(rows))
     stream[index] = (flipped.entries,
-                     result._replace(canonical=flipped, witness=Permutation(range(3))))
+                     result._replace(canonical=flipped, witness=tuple(range(3))))
     monkeypatch.setattr(dmcensus.census, "_canonical_rows", lambda p, d: iter(stream))
     monkeypatch.setattr(dmcensus.canonical, "_memo", {})  # the build stores the result
     assert run_cli(["verify", "-p", "3"]) == 1
@@ -396,6 +398,20 @@ def test_verify_reports_a_class_no_record_claims(tmp_path, capsys):
     assert "matched 2, corrected 0, mismatched 0, unmatched 0\n" in out
     assert "  computed class 2,2 (cardinality 4) has no catalog record\n" in out
     assert "verification: FAIL" in out
+
+
+def test_verify_reads_a_catalog_that_starts_with_a_byte_order_mark(tmp_path, capsys):
+    # spreadsheet programs save CSV with a UTF-8 byte-order mark
+    bundled = resources.files("dmcensus").joinpath("data/reference_catalog.csv").read_bytes()
+    assert not bundled.startswith(codecs.BOM_UTF8)
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(bundled)
+    marked.write_bytes(codecs.BOM_UTF8 + bundled)
+    assert run_cli(["verify", "-p", "1", "--paper-data", str(plain)]) == 0
+    expected = capsys.readouterr()
+    assert run_cli(["verify", "-p", "1", "--paper-data", str(marked)]) == 0
+    assert capsys.readouterr() == expected
+    assert "verification: PASS" in expected.out
 
 
 def test_verify_missing_catalog_file(capsys):

@@ -12,7 +12,6 @@ from dmcensus import (
     ArcMatrix,
     DimensionError,
     Monomial,
-    Permutation,
     canonical_form,
     compare_census,
     parse_monomial,
@@ -23,7 +22,6 @@ SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
 VALIDATED = [
     pytest.param(ArcMatrix, ((1, 2), (3, 4)), ((1,), (2, 3)), DimensionError, id="ArcMatrix"),
-    pytest.param(Permutation, (2, 0, 1), (0, 0), ValueError, id="Permutation"),
     pytest.param(Monomial, ((1, 2), (2, 1)), ((0, 1),), ValueError, id="Monomial"),
 ]
 
@@ -45,27 +43,7 @@ def test_make_and_replace_normalize_like_the_constructor():
     assert ArcMatrix._make([[[1, 0], [0, 1]]]).entries == ((1, 0), (0, 1))
     assert Monomial(((1, 1),))._replace(factors=[(2, 1), (1, 2)]).factors == ((1, 2), (2, 1))
     with pytest.raises(TypeError):
-        Permutation._make([(0,), (0,)])  # one field, two values
-
-
-def test_permutation_len_counts_images():
-    perm = Permutation((1, 2, 0))
-    assert len(perm) == 3
-    assert len(Permutation._make([(1, 0)])) == 2
-    assert len(perm._replace(images=(0,))) == 1
-    assert not Permutation(())
-    assert repr(perm) == "Permutation(images=(1, 2, 0))"
-
-
-@pytest.mark.parametrize("images", [(True, False), (1, 0.0), (0.0,), ("0",), (None,)])
-def test_permutation_refuses_images_that_are_not_ints(images):
-    for build in (
-        lambda: Permutation(images),
-        lambda: Permutation._make([images]),
-        lambda: Permutation((0,))._replace(images=images),
-    ):
-        with pytest.raises(ValueError, match="images must be integers"):
-            build()
+        ArcMatrix._make([((0,),), ((0,),)])  # one field, two values
 
 
 @pytest.mark.parametrize(
@@ -84,7 +62,6 @@ def all_records(census_d2, oracle_d2, catalog):
     result = canonical_form(entry.canonical)
     return [
         entry.canonical,
-        result.witness,
         entry.class_id,
         parse_monomial("x12 x21"),
         result,
@@ -100,7 +77,7 @@ def all_records(census_d2, oracle_d2, catalog):
 
 def test_each_record_type_hashes_and_orders_as_its_field_tuple(census_d2, oracle_d2, catalog):
     records = all_records(census_d2, oracle_d2, catalog)
-    assert len({type(r) for r in records}) == 12
+    assert len({type(r) for r in records}) == 11
     for record in records:
         fields = tuple(getattr(record, name) for name in record._fields)
         assert tuple(record) == fields
