@@ -320,11 +320,26 @@ def wrong_witness(m):
     return result._replace(witness=tuple(swap[w] for w in result.witness))
 
 
-def non_bijective_witness():
-    """Rows and a result whose witness (0, 0) is no bijection, although every
-    entry check canon[w[i]][w[j]] == rows[i][j] holds."""
+# Witnesses of the 2-node matrix ((1, 1), (1, 1)) that are no permutation of
+# 0..1. The entry check canon[w[i]][w[j]] == rows[i][j] holds for the first
+# five (it reads only w[0] and w[1], and a negative index wraps round), so only
+# the bijection check refuses them.
+NOT_PERMUTATIONS = [
+    pytest.param((0, 0), id="repeated"),
+    pytest.param((1, 1), id="repeated-high"),
+    pytest.param((-1, 0), id="negative"),
+    pytest.param((0, 1, 2), id="too-long"),
+    pytest.param((1, 0, 0), id="too-long-repeated"),
+    pytest.param((0, 2), id="out-of-range"),
+    pytest.param((0,), id="too-short"),
+    pytest.param(("0", "1"), id="not-ints"),
+]
+
+
+def non_bijective_witness(images=(0, 0)):
+    """Rows and a result whose witness images is no bijection of 0..1."""
     m = ArcMatrix(((1, 1), (1, 1)))
-    return m.entries, CanonicalResult(m, 2, (0, 0))
+    return m.entries, CanonicalResult(m, 2, images)
 
 
 def test_memo_refuses_a_wrong_witness():
@@ -340,17 +355,29 @@ def test_memo_refuses_a_wrong_witness():
     assert _memo == {m.entries: result}
 
 
+@pytest.mark.parametrize("images", NOT_PERMUTATIONS)
+def test_memo_refuses_a_witness_that_is_not_a_permutation(images):
+    m = ArcMatrix(((1, 1), (1, 1)))
+    clear_cache()
+    result = canonical_form(m)
+    with pytest.raises(CensusInvariantError, match=r"is not a permutation of 0\.\.1"):
+        _remember(*non_bijective_witness(images))
+    assert _memo == {m.entries: result}
+
+
 # The same check in a python -O process, where assert statements are stripped.
 OPTIMIZED_CHECK = """
 import sys
 from dmcensus import ArcMatrix, CensusInvariantError, canonical_form
 from dmcensus.canonical import _memo, _remember
-from test_canonical import non_bijective_witness, wrong_witness
+from test_canonical import NOT_PERMUTATIONS, non_bijective_witness, wrong_witness
 if __debug__:
     sys.exit("not running under -O")
 m = ArcMatrix(((0, 2, 0), (0, 0, 2), (2, 0, 0)))
 result = canonical_form(m)
-for rows, wrong in ((m.entries, wrong_witness(m)), non_bijective_witness()):
+cases = [(m.entries, wrong_witness(m))]
+cases += [non_bijective_witness(*case.values) for case in NOT_PERMUTATIONS]
+for rows, wrong in cases:
     try:
         _remember(rows, wrong)
     except CensusInvariantError:
