@@ -162,22 +162,18 @@ def weight(matrix: ArcMatrix, d: int) -> int:
 def total_configurations(p: int, d: int) -> int:
     """Exact count (d*p)! / (d!)**p of labeled in-slot configurations on p nodes.
 
-    Raises CountBudgetError instead of returning a value beyond COUNT_BUDGET;
-    the arithmetic itself is always exact.
+    The count is the product of C(k*d, d) for k = 2..p, 1 at p <= 1, built
+    one factor at a time; CountBudgetError is raised as soon as the product
+    passes COUNT_BUDGET, and the arithmetic itself is always exact.
     """
     if p < 0:
         raise ValueError("p must be nonnegative")
     if d < 1:
         raise ValueError("d must be a positive integer")
-    if p <= 1:
-        return 1
-    if d * p > 10_000:
-        # For p >= 2 the count is at least C(d*p, d), which already dwarfs the
-        # budget here; refuse before computing a gigantic factorial.
-        raise CountBudgetError(f"({d}*{p})!/({d}!)^{p} exceeds the exact-count budget")
-    total = math.factorial(d * p) // (math.factorial(d) ** p)
-    if total > COUNT_BUDGET:
-        raise CountBudgetError(
-            f"({d}*{p})!/({d}!)^{p} = {total} exceeds the exact-count budget"
-        )
+    total = 1
+    for k in range(2, p + 1):
+        # C(k*d, d) >= 2**d, so from d = 63 on its bound 2**63 refuses before comb runs
+        total *= math.comb(k * d, d) if d < COUNT_BUDGET.bit_length() else COUNT_BUDGET + 1
+        if total > COUNT_BUDGET:
+            raise CountBudgetError(f"({d}*{p})!/({d}!)^{p} exceeds the exact-count budget")
     return total

@@ -66,7 +66,9 @@ def _regular_rows(
     and keep(rows so far) holds; the last row is forced by those deficits.
     keep sees every prefix of fewer than p - 1 rows, not a prefix of p - 1
     rows, which has one completion, nor a whole matrix.  Output is ascending
-    in row-major order.
+    in row-major order.  The forced last row needs p >= 2: at p = 1 the fill
+    would emit ((d,), ()) after a table of d + 1 rows, and at p = 0 nothing,
+    so p <= 1 yields its one matrix directly.
     """
     check_node_cap(p)
     total_configurations(p, d)
@@ -168,11 +170,11 @@ def count_regular_matrices(p: int, d: int) -> int:
     """Length of enumerate_regular_matrices(p, d), counted without enumeration.
 
     The matrices fixed by the identity permutation, p cycles of length 1.
-    The stream's refusals apply, and p <= 1 gives 1 at once.
+    The stream's refusals apply.
     """
     check_node_cap(p)
     total_configurations(p, d)
-    return 1 if p <= 1 else _fixed_matrices((1,) * p, d)
+    return _fixed_matrices((1,) * p, d)
 
 
 def _partitions(n: int, most: int) -> Iterator[tuple[int, ...]]:
@@ -190,12 +192,10 @@ def class_count(p: int, d: int) -> int:
     Burnside's lemma over the cycle types λ of the relabelings:
     (1/p!) * sum of |C_λ| * Fix(λ), where the class C_λ holds
     p! / prod(k^m_k * m_k!) permutations for m_k cycles of length k.  The
-    stream's refusals apply, and p <= 1 gives 1 at once.
+    stream's refusals apply.
     """
     check_node_cap(p)
     total_configurations(p, d)
-    if p <= 1:
-        return 1
     total = 0
     for lengths in _partitions(p, p):
         size = factorial(p)
@@ -239,8 +239,9 @@ def _word_tally(p: int, d: int) -> dict:
     the count budget keeps d <= 33 there (C(2d, d) < 2^63), so each fits one
     byte, and bytes compare as the row-major lexicographic order that ranks
     census classes, so the least key of a class is its canonical matrix.
-    For p <= 1 the key is the plain row tuple of the one matrix, since a
-    one-node entry is d and may pass 255; there is one word, counted once.
+    For p <= 1 the key is the tuple of the same entries, (d,) * p, as bytes
+    cannot hold a one-node entry past 255; its one word is counted directly,
+    as the general tally would walk its d positions.
 
     Keys are unchecked, in order of first appearance in enumerate_words'
     lexicographic order.  Each word is summed to an integer key that gives
@@ -268,7 +269,7 @@ def _word_tally(p: int, d: int) -> dict:
     check_node_cap(p)
     total_configurations(p, d)
     if p <= 1:
-        return {((d,),) * p: 1}
+        return {(d,) * p: 1}
     base = d + 1
     width = ((base**p - 1).bit_length() + 7) // 8  # bytes in a row's slot
     n = d * p
@@ -356,10 +357,8 @@ def _orbit_lister(p: int) -> Callable[..., set]:
 
 
 def _key_rows(key, p: int) -> tuple[tuple[int, ...], ...]:
-    """The plain row tuples of a p-node key of _word_tally."""
-    if p <= 1:
-        return key
-    return tuple(tuple(key[i : i + p]) for i in range(0, p * p, p))
+    """The plain row tuples of a p-node key of _word_tally, p entries each."""
+    return tuple(zip(*[iter(key)] * p))
 
 
 def word_to_matrix(word: Word, p: int, d: int) -> ArcMatrix:

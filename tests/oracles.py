@@ -125,9 +125,11 @@ def brute_matrix_word_counts(p, d):
 
 
 def tally_key(rows):
-    """The oracle's tally key of a matrix given as rows: for p >= 2 its entries
-    in row-major order, one byte each; for p <= 1 the rows themselves."""
-    return bytes(e for row in rows for e in row) if len(rows) > 1 else rows
+    """The oracle's tally key of a matrix given as rows: its entries in
+    row-major order, as bytes for p >= 2 and as a tuple for p <= 1, whose
+    one entry may pass 255."""
+    entries = tuple(e for row in rows for e in row)
+    return bytes(entries) if len(rows) > 1 else entries
 
 
 def word_tally(words, p, d):

@@ -265,6 +265,9 @@ STDOUT_SHA256 = [
     ("census -p 5 --format text", "f7e27542bf960859912967e96c645a25c3522130e174e13135d527bcbe91718f"),
     ("census -p 5 --format csv", "cac007bf35998e3dc18d09f3bf0cd4f6989f495f42c006d8fcf2f67d363ab6a8"),
     ("census -p 5 --format jsonl", "b0f876e5f6b81af16516288000483b8f82c3366e30a98b8544a55bb4bf4e56b5"),
+    ("oracle -p 0 -d 3 --format csv", "2d80b93e149445eeac5a0a8b7a84f2a8fa870bf145377e664725351841ee5142"),
+    # the one-node entry 300 passes the 255 a byte of the oracle's key holds
+    ("oracle -p 1 -d 300 --format csv", "3f9d08521a9eaf722e60aac6feeef6753d03c0d2fb622925788adc7e95f669da"),
     ("oracle -p 4 -d 3 --format csv", "d83db8b9446189cfa19c82411b2c7a5d029a99686034fd88d618c924a82f6f52"),
     ("oracle -p 5 --format text", "f7e27542bf960859912967e96c645a25c3522130e174e13135d527bcbe91718f"),
     ("oracle -p 6 -d 1 --format csv", "ac13970cf599da2feec11d41de22938b07a7ed78dd160353b3a7f62bd52803de"),
@@ -512,6 +515,28 @@ def test_verify_refuses_an_over_budget_catalog_size_before_printing(tmp_path, ca
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: oracle for p=7, d=2 has 681080400 words")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census", "-p", "11"],  # node cap
+        ["census", "-p", "2", "-d", "34"],  # count budget, just past it
+        ["census", "-p", "2", "-d", "5000"],  # a count of 3,009 digits
+        ["census", "-p", "10", "-d", "1000"],  # a count too long for str()
+        ["census", "-p", "8"],  # class budget
+        ["oracle", "-p", "7"],  # word budget
+        ["verify", "-p", "7"],
+        ["oracle", "-p", "9", "-d", "1"],  # orbit budget
+    ],
+)
+def test_each_refusal_exits_3_with_one_short_error_line(argv, capsys):
+    assert run_cli(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert len(err.encode()) < 200
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from dmcensus import (
+    COUNT_BUDGET,
     ArcMatrix,
     CountBudgetError,
     DimensionError,
@@ -118,6 +119,31 @@ def test_total_configurations_validation():
     with pytest.raises(CountBudgetError):
         total_configurations(10**9, 2)  # must fail fast, not hang
     assert total_configurations(1, 10**6) == 1
+
+
+def test_total_configurations_is_refused_exactly_past_the_budget():
+    # against the factorial formula, on both sides of the budget at every p
+    for p in range(22):
+        for d in range(1, 70):
+            expected = math.factorial(d * p) // math.factorial(d) ** p
+            if expected <= COUNT_BUDGET:
+                assert total_configurations(p, d) == expected, (p, d)
+            else:
+                with pytest.raises(CountBudgetError):
+                    total_configurations(p, d)
+    assert total_configurations(2, 33) == math.comb(66, 33) <= COUNT_BUDGET
+    assert total_configurations(20, 1) == math.factorial(20) <= COUNT_BUDGET
+    for p, d in [(2, 34), (21, 1)]:
+        with pytest.raises(CountBudgetError):
+            total_configurations(p, d)
+
+
+@pytest.mark.parametrize("p, d", [(10, 1000), (5, 2000), (4, 2500)])
+def test_total_configurations_refuses_a_count_too_long_to_print(p, d):
+    # each count has more than 4,300 digits, past what str() of an int allows
+    with pytest.raises(CountBudgetError) as refusal:
+        total_configurations(p, d)
+    assert str(refusal.value) == f"({d}*{p})!/({d}!)^{p} exceeds the exact-count budget"
 
 
 def test_weight_and_regularity_invariant_under_relabeling():
