@@ -84,6 +84,12 @@ def _record(report: CensusReport, entry: CensusEntry) -> dict:
 
 
 def render_census_csv(report: CensusReport) -> str:
+    """The report as CSV: a CSV_COLUMNS header, then one row per class.
+
+    parse_census_csv reads it back while every monomial fits the csv
+    module's field limit of 131,072 characters: up to d = 32,768 at p = 1,
+    whose monomial prints 4d - 1 characters.
+    """
     buf = io.StringIO()
     writer = csv.DictWriter(buf, CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()
@@ -149,9 +155,12 @@ def _report_from_records(records: list[dict], source: str) -> CensusReport:
 
 
 def parse_census_csv(text: str) -> CensusReport:
-    """Rebuild a CensusReport from render_census_csv output (lossless).
+    """Rebuild a CensusReport from render_census_csv output (lossless while
+    every field fits the csv module's limit of 131,072 characters, so up to
+    d = 32,768 at p = 1; parse_census_jsonl has no such limit).
 
-    Raises ValueError for any text that is not such output.
+    Raises ValueError for any text that is not such output, and for a field
+    past that limit.
     """
     rows = _read_csv(text, "census CSV", CSV_COLUMNS, len(COUNT_COLUMNS), "counts")
     return _report_from_records([dict(zip(CSV_COLUMNS, row)) for row in rows], "census CSV")

@@ -11,6 +11,9 @@ Grammar (whitespace = one or more spaces/tabs):
 The literal "1" denotes the empty monomial (the null multigraph).  Exponents
 are written by repeating a factor; caret notation is rejected.  Factor lists
 are normalized to sorted order.
+
+Printing has one rule: "1" for the empty monomial, compact factors (x12)
+when every node name is at most 9, bracketed ones (x[1,12]) otherwise.
 """
 
 from __future__ import annotations
@@ -27,10 +30,6 @@ class MonomialParseError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at byte {offset})")
         self.offset = offset
-
-
-class StyleError(ValueError):
-    """The requested print style cannot represent this monomial."""
 
 
 class DegreeError(ValueError):
@@ -66,14 +65,8 @@ class Monomial(_Checked, NamedTuple("Monomial", [("factors", tuple)])):
                 raise ValueError(f"node names start at 1: ({i},{j})")
         return super().__new__(cls, factors)
 
-    def max_node(self) -> int:
-        return max(map(max, self.factors), default=0)
-
     def __str__(self):
-        try:  # print_monomial decides by the one max_node() call it makes
-            return print_monomial(self, "compact")
-        except StyleError:
-            return print_monomial(self, "bracket")
+        return print_monomial(self)
 
 
 def _scan_digits(text: str, pos: int) -> tuple[str, int]:
@@ -174,24 +167,19 @@ def parse_monomial(text: str) -> Monomial:
     return Monomial(tuple(factors))
 
 
-def print_monomial(mono: Monomial, style: str = "compact") -> str:
-    """Render a monomial; parse_monomial(print_monomial(m)) == m for every style."""
+# The text of each compact factor, made once: a printed monomial of d factors
+# then joins d references to these, not d new strings.
+_COMPACT = {(i, j): f"x{i}{j}" for i in range(1, 10) for j in range(1, 10)}
+
+
+def print_monomial(mono: Monomial) -> str:
+    """Render a monomial by the module's print rule; parse_monomial inverts it."""
     if not mono.factors:
         return "1"
-    if style == "compact":
-        if mono.max_node() > 9:
-            raise StyleError("compact style requires all node names <= 9")
-        parts = [f"x{i}{j}" for i, j in mono.factors]
-    elif style == "braced":
-        parts = [
-            f"x_{{{i}{j}}}" if i <= 9 and j <= 9 else f"x_{{{i},{j}}}"
-            for i, j in mono.factors
-        ]
-    elif style == "bracket":
-        parts = [f"x[{i},{j}]" for i, j in mono.factors]
-    else:
-        raise ValueError(f"unknown monomial style {style!r}")
-    return " ".join(parts)
+    try:
+        return " ".join(map(_COMPACT.__getitem__, mono.factors))
+    except KeyError:  # a node name above 9
+        return " ".join([f"x[{i},{j}]" for i, j in mono.factors])
 
 
 def monomial_to_matrix(mono: Monomial, p: int, d: int) -> ArcMatrix:

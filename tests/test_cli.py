@@ -94,6 +94,17 @@ def test_jsonl_round_trip(census_d2):
         assert parse_census_jsonl(render_census_jsonl(report, {})) == report
 
 
+def test_csv_round_trip_ends_at_the_csv_field_limit():
+    # the (1, d) monomial prints 4d - 1 characters, and the csv module refuses
+    # a field of more than 131,072; JSON lines have no such limit
+    report = build_census(1, 32768)
+    assert parse_census_csv(render_census_csv(report)) == report
+    report = build_census(1, 32769)
+    assert parse_census_jsonl(render_census_jsonl(report, {})) == report
+    with pytest.raises(ValueError, match="field larger than field limit"):
+        parse_census_csv(render_census_csv(report))
+
+
 def test_weights_are_computed_only_where_records_are_parsed(monkeypatch):
     # The renderers read each weight off its entry; parsing outside input
     # runs core.weight once per record.
@@ -273,6 +284,10 @@ STDOUT_SHA256 = [
     ("oracle -p 6 -d 1 --format csv", "ac13970cf599da2feec11d41de22938b07a7ed78dd160353b3a7f62bd52803de"),
     ("oracle -p 7 -d 1 --format csv", "4ed57a4943b9d4160dbdee35287bcbc2e945880b49f28cc87ce72cd33ab11e92"),
     ("verify --all", "6f044d995e42448900009a97283b731b07bf22d8a6203c11b5030b30f4e1ed0b"),
+    # every p = 10 class names node 10, so its monomial prints bracketed
+    ("census -p 10 -d 1 --format csv", "2b975a7891b58784073c2a34ce8e678b2c34b4666e721400bb2c1408c75c31b7"),
+    ("census -p 10 -d 1 --format text", "89839b2ec4b85df164755ca72a17af35c48d94211a9c633968d2a6815ee59e78"),
+    ("census -p 1 -d 100000 --format csv", "669936cf8c567fe5a74c151bbe48fe661520b7b6fb6af36c3998334cae78b48d"),
 ]
 
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,6 @@ from dmcensus import (
     DegreeError,
     Monomial,
     MonomialParseError,
-    StyleError,
     build_census,
     enumerate_regular_matrices,
     matrix_to_monomial,
@@ -102,7 +102,7 @@ def test_parse_monomial_fuzz(text):
     except MonomialParseError as exc:
         assert 0 <= exc.offset <= len(text)
         return
-    assert parse_monomial(print_monomial(mono, "bracket")) == mono
+    assert parse_monomial(print_monomial(mono)) == mono
 
 
 def test_print_compact():
@@ -111,14 +111,12 @@ def test_print_compact():
 
 
 def test_print_empty_any_style():
-    for style in ("compact", "braced", "bracket"):
-        assert print_monomial(Monomial(), style) == "1"
+    assert print_monomial(Monomial()) == "1"
 
 
 def test_print_braced_and_bracket():
     m = Monomial(((1, 2), (10, 3)))
-    assert print_monomial(m, "braced") == "x_{12} x_{10,3}"
-    assert print_monomial(m, "bracket") == "x[1,2] x[10,3]"
+    assert print_monomial(m) == "x[1,2] x[10,3]"
 
 
 def test_str_picks_compact_style_up_to_node_9():
@@ -129,14 +127,16 @@ def test_str_picks_compact_style_up_to_node_9():
 
 def test_str_of_a_huge_one_node_representative():
     mono = build_census(1, 10**6).entries[0].representative
-    assert str(mono) == " ".join(["x11"] * 10**6)
-
-
-def test_print_compact_rejects_large_nodes():
-    with pytest.raises(StyleError):
-        print_monomial(Monomial(((10, 3),)), "compact")
-    with pytest.raises(ValueError):
-        print_monomial(Monomial(((1, 1),)), "fancy")
+    tracemalloc.start()
+    try:
+        text = str(mono)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == " ".join(["x11"] * 10**6)
+    # the text takes 4 bytes per factor and the join's list 8; a new string
+    # per factor would take about 64
+    assert peak < 20 * 10**6
 
 
 def test_print_parse_round_trip_random():
@@ -147,17 +147,13 @@ def test_print_parse_round_trip_random():
             (rng.randrange(1, 13), rng.randrange(1, 13)) for _ in range(n_factors)
         )
         m = Monomial(factors)
-        styles = ["braced", "bracket"]
-        if m.max_node() <= 9:
-            styles.append("compact")
-        for style in styles:
-            assert parse_monomial(print_monomial(m, style)) == m
+        assert parse_monomial(print_monomial(m)) == m
 
 
 def test_parse_print_parse_idempotent():
     for text in ("x21 x11", "x_{11} x11 x[1,2]", "1", "x33\tx11"):
         once = parse_monomial(text)
-        assert parse_monomial(print_monomial(once, "bracket")) == once
+        assert parse_monomial(print_monomial(once)) == once
 
 
 def test_monomial_to_matrix_examples():
