@@ -32,11 +32,12 @@ _finish_report requires each class's canonical matrix to be d-regular: a
 word with a wrong multiset projects to a non-regular matrix, so its class
 fails this check (or the orbit-stabilizer one).
 
-A CensusEntry stores its ClassId, canonical matrix and |Aut|; every other
-count is derived, its weight as the cardinality over the p!/|Aut| labeled
-matrices.  The division is exact, made so by build_census, the oracle's
-even split and the CLI's record check (see CensusEntry), so core.weight
-runs only where a matrix enters: in build_census and that record parser.
+A CensusEntry stores its rank, cardinality, canonical matrix and |Aut|, and
+takes p from the report that holds it; every other count is derived, its
+weight as the cardinality over the p!/|Aut| labeled matrices.  The division
+is exact, made so by build_census, the oracle's even split and the CLI's
+record check (see CensusEntry), so core.weight runs only where a matrix
+enters: in build_census and that record parser.
 compare_census is where the search meets brute force:
 the oracle shares no code with the canonical search, so equal canonical
 keys check that each generated canonical matrix is the least relabeling,
@@ -58,7 +59,6 @@ from .canonical import CanonicalResult, _remember, canonical_form
 from .core import (
     ArcMatrix,
     CensusInvariantError,
-    ClassId,
     CountBudgetError,
     check_node_cap,
     is_regular,
@@ -84,7 +84,8 @@ from .monomial import (
 
 
 class CensusEntry(NamedTuple):
-    """One isomorphism class; the counts beyond ClassId and |Aut| are derived.
+    """One isomorphism class of a report: its rank, cardinality, canonical
+    matrix and |Aut|; p is the report's, and the other counts are derived.
 
     The cardinality divides exactly over the p!/|Aut| labeled matrices:
     build_census makes it (p!/|Aut|) * core.weight, the oracle's grouping
@@ -92,26 +93,15 @@ class CensusEntry(NamedTuple):
     checks it against core.weight before it makes the entry.
     """
 
-    class_id: ClassId
+    rank: int
+    cardinality: int
     canonical: ArcMatrix
     aut_order: int
 
     @property
-    def p(self) -> int:
-        return self.class_id.p
-
-    @property
-    def rank(self) -> int:
-        return self.class_id.rank
-
-    @property
-    def cardinality(self) -> int:
-        return self.class_id.cardinality
-
-    @property
     def labeled_matrix_count(self) -> int:
         """p!/|Aut|, the labeled matrices in the class (orbit-stabilizer)."""
-        return math.factorial(self.p) // self.aut_order
+        return math.factorial(self.canonical.p) // self.aut_order
 
     @property
     def weight(self) -> int:
@@ -182,7 +172,7 @@ def _finish_report(p: int, d: int, classes: dict[ArcMatrix, tuple[int, int]]) ->
         if not is_regular(canon, d):
             raise CensusInvariantError(f"class of {canon} is not {d}-regular")
         aut_order, cardinality = classes[canon]
-        entries.append(CensusEntry(ClassId(p, rank, cardinality), canon, aut_order))
+        entries.append(CensusEntry(rank, cardinality, canon, aut_order))
     report = CensusReport(p, d, tuple(entries))
     expected = total_configurations(p, d)
     if report.total != expected:
@@ -311,8 +301,6 @@ def oracle_census(p: int, d: int) -> CensusReport:
 class CensusDiff(NamedTuple):
     """Discrepancies between two censuses for the same (p, d)."""
 
-    p: int
-    d: int
     only_in_a: tuple[ArcMatrix, ...]
     only_in_b: tuple[ArcMatrix, ...]
     cardinality_mismatches: tuple[tuple[ArcMatrix, int, int], ...]
@@ -336,7 +324,7 @@ def compare_census(a: CensusReport, b: CensusReport) -> CensusDiff:
         for canon in sorted(a_cards.keys() & b_cards.keys())
         if a_cards[canon] != b_cards[canon]
     )
-    return CensusDiff(a.p, a.d, only_a, only_b, mismatches)
+    return CensusDiff(only_a, only_b, mismatches)
 
 
 def _plain_ints(fields: list[str]) -> list[int]:
@@ -533,8 +521,8 @@ def verify_against_catalog(report: CensusReport, catalog: Catalog) -> Verificati
     )
 
 
-def class_lookup(report: CensusReport, mono: Monomial) -> ClassId:
-    """ClassId of the census class containing the multigraph a monomial encodes."""
+def class_lookup(report: CensusReport, mono: Monomial) -> CensusEntry:
+    """The report's entry for the class of the multigraph a monomial encodes."""
     matrix = monomial_to_matrix(mono, report.p, report.d)
     canon = canonical_form(matrix).canonical
     entry = next((e for e in report.entries if e.canonical == canon), None)
@@ -542,4 +530,4 @@ def class_lookup(report: CensusReport, mono: Monomial) -> ClassId:
         raise CensusInvariantError(
             "complete census has no class for a valid monomial; this is a bug"
         )
-    return entry.class_id
+    return entry

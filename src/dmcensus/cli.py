@@ -33,7 +33,6 @@ from .census import (
 from .core import (
     NODE_CAP,
     ArcMatrix,
-    ClassId,
     CountBudgetError,
     ResourceLimitError,
     total_configurations,
@@ -143,7 +142,7 @@ def _report_from_records(records: list[dict], source: str) -> CensusReport:
                 raise ValueError(f"weight and cardinality are not the derived {derived}")
         except ValueError as exc:
             raise ValueError(f"{source} record {rank}: {exc}") from None
-        entries.append(CensusEntry(ClassId(p, rank, record["cardinality"]), canonical, aut_order))
+        entries.append(CensusEntry(rank, record["cardinality"], canonical, aut_order))
     report = CensusReport(p, d, tuple(entries))
     try:
         expected = total_configurations(p, d)
@@ -302,8 +301,8 @@ def _cmd_verify(args) -> int:
 def _cmd_lookup(args) -> int:
     mono = parse_monomial(args.monomial)
     report = build_census(args.p, args.d)
-    class_id = class_lookup(report, mono)
-    print(f"class {class_id.p},{class_id.rank} cardinality {class_id.cardinality}")
+    entry = class_lookup(report, mono)
+    print(f"class {report.p},{entry.rank} cardinality {entry.cardinality}")
     return EXIT_OK
 
 

@@ -118,21 +118,6 @@ class ArcMatrix(_Checked, NamedTuple("ArcMatrix", [("entries", tuple)])):
         return "; ".join(" ".join(str(e) for e in row) for row in self.entries)
 
 
-class ClassId(NamedTuple):
-    """Class designation: node count, rank, and cardinality.
-
-    The rank is the 1-based position of the class when all classes for this
-    node count are sorted ascending by canonical matrix.
-    """
-
-    p: int
-    rank: int
-    cardinality: int
-
-    def __str__(self):
-        return f"{self.p},{self.rank},{self.cardinality}"
-
-
 def is_regular(matrix: ArcMatrix, d: int) -> bool:
     """True when every node has out-degree d and in-degree d (vacuous for p = 0)."""
     return all(s == d for s in matrix.row_sums()) and all(

@@ -17,9 +17,10 @@ from dmcensus import (
     ArcMatrix,
     Catalog,
     CatalogRecord,
+    CensusDiff,
+    CensusEntry,
     CensusInvariantError,
     CensusReport,
-    ClassId,
     CountBudgetError,
     DegreeError,
     NodeCapError,
@@ -31,6 +32,7 @@ from dmcensus import (
     class_lookup,
     compare_census,
     load_catalog,
+    matrix_to_monomial,
     oracle_census,
     parse_monomial,
     total_configurations,
@@ -540,9 +542,7 @@ def test_compare_census_detects_perturbation(census_d2):
     report = census_d2(2)
     tweaked = list(report.entries)
     victim = tweaked[1]
-    tweaked[1] = victim._replace(
-        class_id=ClassId(victim.p, victim.rank, victim.cardinality + 1)
-    )
+    tweaked[1] = victim._replace(cardinality=victim.cardinality + 1)
     fixture = CensusReport(report.p, report.d, tuple(tweaked))
     diff = compare_census(report, fixture)
     assert diff
@@ -654,8 +654,26 @@ def test_verify_reports_a_record_naming_a_node_beyond_p(census_d2):
 
 def test_class_lookup_examples(census_d2):
     assert class_lookup(census_d2(2), parse_monomial("x11 x12 x22 x21")).cardinality == 4
-    assert class_lookup(census_d2(1), parse_monomial("x11 x11")) == ClassId(1, 1, 1)
+    assert class_lookup(census_d2(1), parse_monomial("x11 x11")) == census_d2(1).entries[0]
     assert class_lookup(census_d2(2), parse_monomial("x12 x12 x21 x21")).cardinality == 1
+
+
+@pytest.mark.parametrize("p", range(5))
+def test_class_lookup_returns_the_reports_own_entry(census_d2, p):
+    # a seeded relabeling of each class, printed and parsed back, finds the
+    # entry of its rank itself, not a copy
+    report = census_d2(p)
+    rng = random.Random(p)
+    for entry in report.entries:
+        rows = entry.canonical.entries
+        matrix = ArcMatrix(relabel(rows, rng.sample(range(p), p)))
+        mono = parse_monomial(str(matrix_to_monomial(matrix)))
+        assert class_lookup(report, mono) is report.entries[entry.rank - 1]
+
+
+def test_census_records_hold_each_fact_once():
+    assert CensusEntry._fields == ("rank", "cardinality", "canonical", "aut_order")
+    assert CensusDiff._fields == ("only_in_a", "only_in_b", "cardinality_mismatches")
 
 
 def test_class_lookup_propagates_degree_error(census_d2):

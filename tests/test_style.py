@@ -1,10 +1,12 @@
 import ast
+import re
 from pathlib import Path
 
 import dmcensus
 
 MAX_LINE = 100
 PACKAGE = sorted(Path(dmcensus.__file__).parent.glob("*.py"))
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_package_lines_fit_the_line_length():
@@ -50,3 +52,17 @@ def test_package_exports_exactly_what_it_imports():
     assert len(exported) == len(set(exported))
     assert [name for name in exported if not hasattr(dmcensus, name)] == []
     assert set(exported) == imported
+
+
+def test_readme_lists_the_exported_record_types():
+    # The README's list of record types must name every exported named tuple
+    # and nothing else, so a deleted record type leaves no mention behind.
+    sentence = re.search(r"The record types \(([^)]*)\)", README.read_text("utf-8"))
+    listed = re.findall(r"`(\w+)`", sentence.group(1))
+    exported = [
+        name for name in dmcensus.__all__
+        if isinstance(getattr(dmcensus, name), type)
+        and issubclass(getattr(dmcensus, name), tuple)
+    ]
+    assert len(listed) == len(set(listed))
+    assert sorted(listed) == sorted(exported)
