@@ -194,6 +194,17 @@ def _finish_report(p: int, d: int, classes: dict[ArcMatrix, tuple[int, int]]) ->
 CLASS_BUDGET = 10_000
 
 
+def _check_census_budget(p: int, d: int) -> int:
+    """Refuse, with CountBudgetError, a census of more than CLASS_BUDGET
+    classes; returns its class count, class_count(p, d), whose refusals apply."""
+    classes = class_count(p, d)
+    if classes > CLASS_BUDGET:
+        raise CountBudgetError(
+            f"census for p={p}, d={d} has {classes} classes, above the budget of {CLASS_BUDGET}"
+        )
+    return classes
+
+
 def build_census(p: int, d: int) -> CensusReport:
     """Census from the canonical matrices alone, with analytic cardinalities.
 
@@ -211,12 +222,7 @@ def build_census(p: int, d: int) -> CensusReport:
     first, and a census of more than CLASS_BUDGET classes is refused with
     CountBudgetError.
     """
-    expected_classes = class_count(p, d)
-    if expected_classes > CLASS_BUDGET:
-        raise CountBudgetError(
-            f"census for p={p}, d={d} has {expected_classes} classes, "
-            f"above the budget of {CLASS_BUDGET}"
-        )
+    expected_classes = _check_census_budget(p, d)
     classes: dict[ArcMatrix, CanonicalResult] = {}
     for rows, result in _canonical_rows(p, d):
         if result.canonical.entries != rows:

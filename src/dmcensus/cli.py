@@ -20,6 +20,7 @@ from .census import (
     CensusEntry,
     CensusReport,
     VerificationReport,
+    _check_census_budget,
     _check_oracle_budget,
     _plain_ints,
     _read_csv,
@@ -83,12 +84,8 @@ def _record(report: CensusReport, entry: CensusEntry) -> dict:
 
 
 def render_census_csv(report: CensusReport) -> str:
-    """The report as CSV: a CSV_COLUMNS header, then one row per class.
-
-    parse_census_csv reads it back while every monomial fits the csv
-    module's field limit of 131,072 characters: up to d = 32,768 at p = 1,
-    whose monomial prints 4d - 1 characters.
-    """
+    """The report as CSV: a CSV_COLUMNS header, then one row per class;
+    parse_census_csv reads it back."""
     buf = io.StringIO()
     writer = csv.DictWriter(buf, CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()
@@ -103,7 +100,8 @@ def _report_from_records(records: list[dict], source: str) -> CensusReport:
     (p, d) census, p <= NODE_CAP, ranked 1, 2, ... by ascending canonical
     matrix.  Each monomial must be the canonical form of its class and carry
     the computed |Aut| and the derived matrix, core.weight and cardinality; the
-    cardinalities must sum to total_configurations(p, d).
+    cardinalities must sum to total_configurations(p, d); a (p, d) whose count
+    is refused, such as any d >= 63, is refused before a monomial is parsed.
     """
     if not records:
         raise ValueError(f"{source} has no records")
@@ -119,6 +117,7 @@ def _report_from_records(records: list[dict], source: str) -> CensusReport:
                 raise ValueError(f"p={record['p']}, d={record['d']} after p={p}, d={d}")
             if not 0 <= p <= NODE_CAP or d < 1:
                 raise ValueError(f"p={p}, d={d} outside 0 <= p <= {NODE_CAP}, d >= 1")
+            expected = total_configurations(p, d)
             if record["rank"] != rank:
                 raise ValueError(f"rank {record['rank']} where {rank} is due")
             canonical = monomial_to_matrix(parse_monomial(record["monomial"]), p, d)
@@ -140,26 +139,19 @@ def _report_from_records(records: list[dict], source: str) -> CensusReport:
             derived = (wt, math.factorial(p) // aut_order * wt)
             if (record["weight"], record["cardinality"]) != derived:
                 raise ValueError(f"weight and cardinality are not the derived {derived}")
-        except ValueError as exc:
+        except (ValueError, CountBudgetError) as exc:
             raise ValueError(f"{source} record {rank}: {exc}") from None
         entries.append(CensusEntry(rank, record["cardinality"], canonical, aut_order))
     report = CensusReport(p, d, tuple(entries))
-    try:
-        expected = total_configurations(p, d)
-    except CountBudgetError as exc:
-        raise ValueError(f"{source}: {exc}") from None
     if report.total != expected:
         raise ValueError(f"{source} cardinalities sum to {report.total}, not {expected}")
     return report
 
 
 def parse_census_csv(text: str) -> CensusReport:
-    """Rebuild a CensusReport from render_census_csv output (lossless while
-    every field fits the csv module's limit of 131,072 characters, so up to
-    d = 32,768 at p = 1; parse_census_jsonl has no such limit).
+    """Rebuild a CensusReport from render_census_csv output (lossless).
 
-    Raises ValueError for any text that is not such output, and for a field
-    past that limit.
+    Raises ValueError for any text that is not such output.
     """
     rows = _read_csv(text, "census CSV", CSV_COLUMNS, len(COUNT_COLUMNS), "counts")
     return _report_from_records([dict(zip(CSV_COLUMNS, row)) for row in rows], "census CSV")
@@ -300,6 +292,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_lookup(args) -> int:
     mono = parse_monomial(args.monomial)
+    _check_census_budget(args.p, args.d)
+    monomial_to_matrix(mono, args.p, args.d)  # its degrees must fit before the build
     report = build_census(args.p, args.d)
     entry = class_lookup(report, mono)
     print(f"class {report.p},{entry.rank} cardinality {entry.cardinality}")
@@ -311,12 +305,12 @@ def _cmd_render(args) -> int:
         p, rank = _plain_ints(args.class_id.split(","))
     except ValueError:
         raise ValueError(f"--class expects '<p>,<rank>', got {args.class_id!r}") from None
-    report = build_census(p, args.d)
-    if not 1 <= rank <= len(report.entries):
+    classes = _check_census_budget(p, args.d)
+    if not 1 <= rank <= classes:
         raise ValueError(
-            f"rank {rank} out of range; census for p={p}, d={args.d} has "
-            f"{len(report.entries)} classes"
+            f"rank {rank} out of range; census for p={p}, d={args.d} has {classes} classes"
         )
+    report = build_census(p, args.d)
     sys.stdout.write(emit_dot(report.entries[rank - 1].canonical))
     return EXIT_OK
 

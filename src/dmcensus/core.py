@@ -33,9 +33,9 @@ class NodeCapError(ResourceLimitError):
 
 
 class CountBudgetError(ResourceLimitError):
-    """An exact count would not fit the 64-bit interop budget, a census
-    would have more classes than census.CLASS_BUDGET, or an oracle more
-    words than census.WORD_BUDGET or more relabelings to list than
+    """An exact count would not fit the 64-bit interop budget or d >= 63, a
+    census would have more classes than census.CLASS_BUDGET, or an oracle
+    more words than census.WORD_BUDGET or more relabelings to list than
     census.ORBIT_BUDGET."""
 
 
@@ -137,7 +137,7 @@ def weight(matrix: ArcMatrix, d: int) -> int:
         raise RegularityError(f"weight is defined only for d-regular matrices (d={d})")
     result = 1
     for col in zip(*matrix.entries):
-        n = 0  # d!/prod e! as binomials, cheap for the huge d a 1-node census allows
+        n = 0  # d!/prod e! as a product of binomials, one per entry
         for e in col:
             n += e
             result *= math.comb(n, e)
@@ -149,16 +149,19 @@ def total_configurations(p: int, d: int) -> int:
 
     The count is the product of C(k*d, d) for k = 2..p, 1 at p <= 1, built
     one factor at a time; CountBudgetError is raised as soon as the product
-    passes COUNT_BUDGET, and the arithmetic itself is always exact.
+    passes COUNT_BUDGET, and the arithmetic itself is always exact.  It
+    refuses d >= 63 first, at every p: C(2d, d) >= 2^d, so no count of two
+    or more nodes fits the budget there either.
     """
     if p < 0:
         raise ValueError("p must be nonnegative")
     if d < 1:
         raise ValueError("d must be a positive integer")
+    if d >= COUNT_BUDGET.bit_length():
+        raise CountBudgetError(f"d={d} exceeds the largest degree, {COUNT_BUDGET.bit_length() - 1}")
     total = 1
     for k in range(2, p + 1):
-        # C(k*d, d) >= 2**d, so from d = 63 on its bound 2**63 refuses before comb runs
-        total *= math.comb(k * d, d) if d < COUNT_BUDGET.bit_length() else COUNT_BUDGET + 1
+        total *= math.comb(k * d, d)
         if total > COUNT_BUDGET:
             raise CountBudgetError(f"({d}*{p})!/({d}!)^{p} exceeds the exact-count budget")
     return total

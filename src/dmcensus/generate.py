@@ -103,8 +103,7 @@ def enumerate_regular_matrices(p: int, d: int) -> Iterator[ArcMatrix]:
     row-major order.  As in enumerate_words, a (p, d) whose configuration
     count exceeds the count budget fails before any enumeration; for p >= 2
     that budget keeps the table small (65,536 candidate rows at most, at
-    p=8, d=3).  At p <= 1 the one matrix is yielded without a table, so any
-    d is instant there.
+    p=8, d=3).  At p <= 1 the one matrix is yielded without a table.
     """
     return map(ArcMatrix, _regular_rows(p, d, lambda rows: True))
 
@@ -234,14 +233,11 @@ def _word_tally(p: int, d: int) -> dict:
 
     A key is the matrix in the oracle's layout, which is stated here alone
     and read or written only in this module (_word_tally, _orbit_lister,
-    _key_rows).  For p >= 2 it is a bytes of the p*p entries in row-major
-    order, entry (i, j) at offset i * p + j.  Each entry is at most d, and
-    the count budget keeps d <= 33 there (C(2d, d) < 2^63), so each fits one
-    byte, and bytes compare as the row-major lexicographic order that ranks
-    census classes, so the least key of a class is its canonical matrix.
-    For p <= 1 the key is the tuple of the same entries, (d,) * p, as bytes
-    cannot hold a one-node entry past 255; its one word is counted directly,
-    as the general tally would walk its d positions.
+    _key_rows): a bytes of the p*p entries in row-major order, entry (i, j)
+    at offset i * p + j.  Each entry is at most d, and the count budget
+    keeps d <= 62 at every p (d <= 33 for p >= 2), so each fits one byte,
+    and bytes compare as the row-major lexicographic order that ranks census
+    classes, so the least key of a class is its canonical matrix.
 
     Keys are unchecked, in order of first appearance in enumerate_words'
     lexicographic order.  Each word is summed to an integer key that gives
@@ -249,9 +245,9 @@ def _word_tally(p: int, d: int) -> dict:
     (i + 1) * w - 1 of the key read little-endian.  A slot holds its row's
     value in base d + 1, entry j as digit j, so a symbol s in block j adds
     (d+1)^j << 8 * w * (s - 1).  w is the fewest bytes that hold the
-    (d+1)^p row values; the count budget keeps (d+1)^p <= 2^16 for p >= 2,
-    so w is 1 or 2.  Each distinct key decodes once, by int.to_bytes into
-    its p slots and one table of the (d+1)^p rows, indexed by value.
+    (d+1)^p row values; the count budget keeps (d+1)^p <= 2^16, so w is 0
+    at p = 0, else 1 or 2.  Each distinct key decodes once, by int.to_bytes
+    into its p slots and one table of the (d+1)^p rows, indexed by value.
 
     The words are not listed one by one but split in two (meet in the
     middle; Horowitz and Sahni 1974).  The heads, fills of the first n // 2
@@ -268,8 +264,6 @@ def _word_tally(p: int, d: int) -> dict:
     """
     check_node_cap(p)
     total_configurations(p, d)
-    if p <= 1:
-        return {(d,) * p: 1}
     base = d + 1
     width = ((base**p - 1).bit_length() + 7) // 8  # bytes in a row's slot
     n = d * p

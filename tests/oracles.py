@@ -125,11 +125,9 @@ def brute_matrix_word_counts(p, d):
 
 
 def tally_key(rows):
-    """The oracle's tally key of a matrix given as rows: its entries in
-    row-major order, as bytes for p >= 2 and as a tuple for p <= 1, whose
-    one entry may pass 255."""
-    entries = tuple(e for row in rows for e in row)
-    return bytes(entries) if len(rows) > 1 else entries
+    """The oracle's tally key of a matrix given as rows: the bytes of its
+    entries in row-major order."""
+    return bytes(e for row in rows for e in row)
 
 
 def word_tally(words, p, d):

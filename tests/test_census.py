@@ -202,11 +202,22 @@ def test_build_census_leaves_each_class_in_the_memo(monkeypatch):
     assert warm == [canonical_form(entry.canonical) for entry in report.entries]
 
 
-@pytest.mark.parametrize("d", [300, 10**6])
+@pytest.mark.parametrize("d", [1, 62])  # 62, the largest degree admitted at any p
 @pytest.mark.parametrize("build", [build_census, oracle_census])
 def test_single_node_census_of_any_degree(build, d):
     (entry,) = build(1, d).entries
     assert (entry.aut_order, entry.cardinality) == (1, 1)
+
+
+@pytest.mark.parametrize("d", [63, 10**6])
+@pytest.mark.parametrize("p", [0, 1])
+@pytest.mark.parametrize("build", [build_census, oracle_census])
+def test_census_refuses_a_degree_past_62_at_every_size(monkeypatch, build, p, d):
+    # at p <= 1 the count is 1, so only the degree rule refuses, before any work
+    monkeypatch.setattr(dmcensus.census, "_canonical_rows", None)
+    monkeypatch.setattr(dmcensus.census, "_word_tally", None)
+    with pytest.raises(CountBudgetError, match=f"^d={d} exceeds the largest degree, 62$"):
+        build(p, d)
 
 
 def test_build_census_checks_the_exact_labeled_count(monkeypatch):
@@ -294,7 +305,7 @@ def test_oracle_refuses_too_many_words_up_front(monkeypatch, p, d, words):
         oracle_census(p, d)
 
 
-@pytest.mark.parametrize("p, d", [(6, 2), (4, 3), (1, 10**6)])
+@pytest.mark.parametrize("p, d", [(6, 2), (4, 3), (1, 62)])
 def test_word_budget_admits_sizes_within_it(p, d):
     assert total_configurations(p, d) <= WORD_BUDGET
     _check_oracle_budget(p, d)
@@ -319,23 +330,24 @@ def test_orbit_budget_admits_sizes_within_it(p, d, relabelings):
     _check_oracle_budget(p, d)
 
 
-def test_one_node_oracle_takes_entries_past_a_byte():
-    # a one-node key is its one entry, here 300, which no byte holds
-    assert oracle_census(1, 300) == build_census(1, 300)
+@pytest.mark.parametrize("p", [0, 1])
+def test_oracle_equals_the_build_at_the_largest_degree(p):
+    # the oracle's key at p <= 1 is bytes, as at every p: (1,62)'s one entry fits a byte
+    assert oracle_census(p, 62) == build_census(p, 62)
 
 
 def test_one_node_oracle_memory_is_bounded():
-    # The tally's d references to one shared block table take 8 bytes a
-    # position (1.6 MiB traced at this d); a table per position would take
-    # 47 MiB.
-    d = 2 * 10**5
+    # A one-node oracle of d = 2*10**5 is refused before a table is built,
+    # and the largest admitted one, d = 62, traces under 7 KiB.
     tracemalloc.start()
     try:
-        oracle_census(1, d)
+        with pytest.raises(CountBudgetError):
+            oracle_census(1, 2 * 10**5)
+        oracle_census(1, 62)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40 * d
+    assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize(

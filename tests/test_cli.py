@@ -94,15 +94,13 @@ def test_jsonl_round_trip(census_d2):
         assert parse_census_jsonl(render_census_jsonl(report, {})) == report
 
 
-def test_csv_round_trip_ends_at_the_csv_field_limit():
-    # the (1, d) monomial prints 4d - 1 characters, and the csv module refuses
-    # a field of more than 131,072; JSON lines have no such limit
-    report = build_census(1, 32768)
+@pytest.mark.parametrize("p, d", [(1, 62), (2, 33), (10, 1)])
+def test_round_trip_at_the_largest_degrees(p, d):
+    # the largest degree at p = 1 and at p = 2, and the bracketed p = 10
+    # monomials: every field stays far under the csv module's field limit
+    report = build_census(p, d)
     assert parse_census_csv(render_census_csv(report)) == report
-    report = build_census(1, 32769)
     assert parse_census_jsonl(render_census_jsonl(report, {})) == report
-    with pytest.raises(ValueError, match="field larger than field limit"):
-        parse_census_csv(render_census_csv(report))
 
 
 def test_weights_are_computed_only_where_records_are_parsed(monkeypatch):
@@ -194,6 +192,23 @@ def test_census_parsers_raise_value_error(parse, text):
         parse(text)
 
 
+def test_a_record_past_the_largest_degree_is_refused_before_parsing(monkeypatch):
+    # outside input of a huge one-node census costs no memory past its text;
+    # the CSV reader's field limit refuses a monomial of more than 131,072
+    # characters before any record is read, so that one is shorter
+    d = 10**6
+    texts = [CSV_HEADER + f"1,{d},1,1,1,1," + " ".join(["x11"] * 10**4) + "\n",
+             jsonl_p1(d=d, monomial=" ".join(["x11"] * d), matrix=[[d]])]
+
+    def refuse(text):
+        raise AssertionError("parse_monomial ran")
+
+    monkeypatch.setattr(dmcensus.cli, "parse_monomial", refuse)
+    for parse, text in zip((parse_census_csv, parse_census_jsonl), texts):
+        with pytest.raises(ValueError, match=f"record 1: d={d} exceeds the largest degree, 62"):
+            parse(text)
+
+
 FORMATS = {
     "csv": (render_census_csv, parse_census_csv),
     "jsonl": (lambda report: render_census_jsonl(report, {}), parse_census_jsonl),
@@ -277,8 +292,8 @@ STDOUT_SHA256 = [
     ("census -p 5 --format csv", "cac007bf35998e3dc18d09f3bf0cd4f6989f495f42c006d8fcf2f67d363ab6a8"),
     ("census -p 5 --format jsonl", "b0f876e5f6b81af16516288000483b8f82c3366e30a98b8544a55bb4bf4e56b5"),
     ("oracle -p 0 -d 3 --format csv", "2d80b93e149445eeac5a0a8b7a84f2a8fa870bf145377e664725351841ee5142"),
-    # the one-node entry 300 passes the 255 a byte of the oracle's key holds
-    ("oracle -p 1 -d 300 --format csv", "3f9d08521a9eaf722e60aac6feeef6753d03c0d2fb622925788adc7e95f669da"),
+    # 62 is the largest degree admitted at any p
+    ("oracle -p 1 -d 62 --format csv", "465a973e7182c9a3ef641ebc93f1a21345ab42dcabf4f2b0f89af6e1cc49d243"),
     ("oracle -p 4 -d 3 --format csv", "d83db8b9446189cfa19c82411b2c7a5d029a99686034fd88d618c924a82f6f52"),
     ("oracle -p 5 --format text", "f7e27542bf960859912967e96c645a25c3522130e174e13135d527bcbe91718f"),
     ("oracle -p 6 -d 1 --format csv", "ac13970cf599da2feec11d41de22938b07a7ed78dd160353b3a7f62bd52803de"),
@@ -287,7 +302,6 @@ STDOUT_SHA256 = [
     # every p = 10 class names node 10, so its monomial prints bracketed
     ("census -p 10 -d 1 --format csv", "2b975a7891b58784073c2a34ce8e678b2c34b4666e721400bb2c1408c75c31b7"),
     ("census -p 10 -d 1 --format text", "89839b2ec4b85df164755ca72a17af35c48d94211a9c633968d2a6815ee59e78"),
-    ("census -p 1 -d 100000 --format csv", "669936cf8c567fe5a74c151bbe48fe661520b7b6fb6af36c3998334cae78b48d"),
     # argv lists, since a monomial holds spaces: class 5,40 relabeled, and 2*I_5
     (["lookup", "-p", "5", "--monomial", "x13 x13 x22 x25 x34 x34 x41 x41 x52 x55"],
      "095dabdd3b1c9528c96ab31bbd9b2f3ffec0957dc6ebc28ee7a7d8499b4da24d"),
@@ -549,6 +563,13 @@ def test_verify_refuses_an_over_budget_catalog_size_before_printing(tmp_path, ca
         ["oracle", "-p", "7"],  # word budget
         ["verify", "-p", "7"],
         ["oracle", "-p", "9", "-d", "1"],  # orbit budget
+        # the largest degree, 62, at every p: the count at p <= 1 is 1
+        *([cmd, "-p", p, "-d", "63"] for cmd in ("census", "oracle") for p in ("0", "1")),
+        *(["lookup", "--monomial", "x11", "-p", p, "-d", "63"] for p in ("0", "1")),
+        ["render", "--class", "1,1", "-d", "63"],
+        ["oracle", "-p", "1", "-d", "300", "--format", "csv"],
+        ["census", "-p", "1", "-d", "100000", "--format", "csv"],
+        ["census", "-p", "1", "-d", "1000000"],
     ],
 )
 def test_each_refusal_exits_3_with_one_short_error_line(argv, capsys):
@@ -588,6 +609,31 @@ def test_render_bad_designation(capsys):
     capsys.readouterr()
     assert run_cli(["render", "--class", "2,99"]) == 2
     assert "out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("class_id, classes", [("2,4", 3), ("5,86", 85), ("7,2184", 2183)])
+def test_render_refuses_a_rank_past_the_class_count_before_the_build(
+    monkeypatch, class_id, classes, capsys
+):
+    def refuse(p, d):
+        raise AssertionError("the census was built")
+
+    monkeypatch.setattr(dmcensus.census, "_canonical_rows", refuse)
+    assert run_cli(["render", "--class", class_id]) == 2
+    p, rank = class_id.split(",")
+    assert capsys.readouterr().err == (
+        f"error: rank {rank} out of range; census for p={p}, d=2 has {classes} classes\n"
+    )
+
+
+def test_lookup_checks_the_degrees_before_the_build(monkeypatch, capsys):
+    # x11 cannot be a 2-regular 7-node multigraph; no census is built to say so
+    def refuse(p, d):
+        raise AssertionError("the census was built")
+
+    monkeypatch.setattr(dmcensus.census, "_canonical_rows", refuse)
+    assert run_cli(["lookup", "-p", "7", "--monomial", "x11"]) == 2
+    assert "deficit" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -118,17 +118,22 @@ def test_total_configurations_validation():
         total_configurations(30, 2)
     with pytest.raises(CountBudgetError):
         total_configurations(10**9, 2)  # must fail fast, not hang
-    assert total_configurations(1, 10**6) == 1
+    assert total_configurations(1, 62) == 1
+    with pytest.raises(CountBudgetError):
+        total_configurations(1, 10**6)  # past the largest degree, 62, at every p
 
 
 def test_total_configurations_is_refused_exactly_past_the_budget():
-    # against the factorial formula, on both sides of the budget at every p
+    # against the factorial formula, on both sides of the budget at every p;
+    # a degree past 62 is refused at every p, and only at p <= 1 does that
+    # refuse a count the budget would hold
     for p in range(22):
         for d in range(1, 70):
             expected = math.factorial(d * p) // math.factorial(d) ** p
-            if expected <= COUNT_BUDGET:
+            if expected <= COUNT_BUDGET and d <= 62:
                 assert total_configurations(p, d) == expected, (p, d)
             else:
+                assert p <= 1 or expected > COUNT_BUDGET, (p, d)
                 with pytest.raises(CountBudgetError):
                     total_configurations(p, d)
     assert total_configurations(2, 33) == math.comb(66, 33) <= COUNT_BUDGET
@@ -139,11 +144,13 @@ def test_total_configurations_is_refused_exactly_past_the_budget():
 
 
 @pytest.mark.parametrize("p, d", [(10, 1000), (5, 2000), (4, 2500)])
-def test_total_configurations_refuses_a_count_too_long_to_print(p, d):
-    # each count has more than 4,300 digits, past what str() of an int allows
+def test_total_configurations_refuses_a_count_too_long_to_print(monkeypatch, p, d):
+    # each count has more than 4,300 digits, past what str() of an int allows;
+    # the degree rule refuses it before any binomial is taken
+    monkeypatch.setattr(math, "comb", None)
     with pytest.raises(CountBudgetError) as refusal:
         total_configurations(p, d)
-    assert str(refusal.value) == f"({d}*{p})!/({d}!)^{p} exceeds the exact-count budget"
+    assert str(refusal.value) == f"d={d} exceeds the largest degree, 62"
 
 
 def test_weight_and_regularity_invariant_under_relabeling():

@@ -90,7 +90,10 @@ def test_count_refusals():
         count_regular_matrices(11, 2)
     with pytest.raises(CountBudgetError):
         count_regular_matrices(5, 20)
-    assert count_regular_matrices(0, 10**6) == count_regular_matrices(1, 10**6) == 1
+    for p in (0, 1):
+        with pytest.raises(CountBudgetError):
+            count_regular_matrices(p, 63)
+    assert count_regular_matrices(0, 62) == count_regular_matrices(1, 62) == 1
 
 
 @pytest.mark.parametrize(
@@ -110,7 +113,10 @@ def test_class_count_refusals():
         class_count(11, 2)
     with pytest.raises(CountBudgetError):
         class_count(5, 20)
-    assert class_count(0, 10**6) == class_count(1, 10**6) == 1
+    for p in (0, 1):
+        with pytest.raises(CountBudgetError):
+            class_count(p, 63)
+    assert class_count(0, 62) == class_count(1, 62) == 1
 
 
 def test_four_node_matrices_match_word_projections():
@@ -213,8 +219,8 @@ def test_word_tally_matches_brute_force(p, d):
 @pytest.mark.parametrize(
     "p,d",
     # (8,1)'s rows take values up to 255, the most a one-byte row slot holds;
-    # (1,300)'s one entry passes 255, so its key is a tuple, not bytes
-    [(0, 2), (1, 5), (1, 300), (2, 3), (3, 2), (3, 3), (6, 1), (4, 2), (5, 2), (2, 4), (8, 1)],
+    # (1,62) is the largest degree admitted at any p
+    [(0, 2), (1, 5), (1, 62), (2, 3), (3, 2), (3, 3), (6, 1), (4, 2), (5, 2), (2, 4), (8, 1)],
 )
 def test_word_tally_matches_the_per_word_tally(p, d):
     got = _word_tally(p, d)

@@ -3,6 +3,7 @@ import re
 from pathlib import Path
 
 import dmcensus
+from dmcensus import run_cli
 
 MAX_LINE = 100
 PACKAGE = sorted(Path(dmcensus.__file__).parent.glob("*.py"))
@@ -66,3 +67,19 @@ def test_readme_lists_the_exported_record_types():
     ]
     assert len(listed) == len(set(listed))
     assert sorted(listed) == sorted(exported)
+
+
+def test_readme_exit_code_examples_exit_3(capsys):
+    # Every command the README's exit-code paragraph gives as an example of
+    # a refusal must be refused with exit code 3 and one short error line.
+    paragraph = re.search(r"Exit codes:.*?\n\n", README.read_text("utf-8"), re.S).group()
+    commands = [
+        span for span in re.findall(r"`([^`]*)`", paragraph.replace("\n", " "))
+        if span.split()[0] in {"census", "oracle", "verify", "lookup", "render"}
+    ]
+    assert "census -p 1 -d 63" in commands
+    for command in commands:
+        assert run_cli(command.split()) == 3, command
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: "), command
+        assert err.count("\n") == 1 and err.endswith("\n") and len(err) < 200, command

@@ -13,7 +13,7 @@ def load_tool():
 
 def test_time_builds_measures_a_small_size():
     tool = load_tool()
-    for kind in ("build", "generator", "oracle", "cli"):
+    for kind in ("build", "generator", "oracle"):
         record = tool.measure(kind, 3, 2)
         assert (record["kind"], record["p"], record["d"]) == (kind, 3, 2)
         assert (record["classes"], record["exact"]) == (8, True)

@@ -16,10 +16,7 @@ its own:
   round and `verify --all` run, and at (6,2) and (8,1), the largest sizes
   census.WORD_BUDGET and census.ORBIT_BUDGET admit, timed and its peak RSS
   read alone; it is exact when compare_census finds no diff against
-  build_census, which runs after both readings;
-- the CLI command `census -p 1 -d 1000000 --format csv` through run_cli,
-  its stdout counted and discarded: it is exact when it exits 0 and prints
-  one row per class of class_count(1, 1000000).
+  build_census, which runs after both readings.
 
 The startup record holds the wall seconds of three fresh interpreters on
 the same pinned CPU, RUNS of each, interleaved: a bare `python -c pass`, one
@@ -37,8 +34,6 @@ The command exits with status 1 when a count does not.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
 import json
 import math
 import os
@@ -54,30 +49,19 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 RUNS = 3
 SIZES = (("build", 5, 2), ("build", 7, 2), ("build", 10, 1), ("build", 4, 6),
          ("generator", 8, 2), ("oracle", 4, 3), ("oracle", 5, 2), ("oracle", 6, 2),
-         ("oracle", 8, 1), ("cli", 1, 1_000_000))
+         ("oracle", 8, 1))
 HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "linecache", "typing",
          "importlib.resources", "pathlib", "re", "enum")
 IMPORT = ("import sys; bare = set(sys.modules); import dmcensus; dmcensus.load_catalog(); "
           "print(' '.join(sorted(set(sys.modules) - bare)))")
 
 
-class _LineCount(io.TextIOBase):
-    """A text sink that keeps only the number of lines written to it."""
-
-    lines = 0
-
-    def write(self, text: str) -> int:
-        self.lines += text.count("\n")
-        return len(text)
-
-
 def measure(kind: str, p: int, d: int) -> dict:
     """Build the census (kind "build"), run the generator alone (kind
-    "generator"), the word oracle (kind "oracle") or `census -p p -d d
-    --format csv` through run_cli (kind "cli") at (p, d) in this process;
-    returns its CPU seconds, classes, whether the exact counts held, and
-    the process's peak RSS as the timed work ends."""
-    from dmcensus import build_census, compare_census, oracle_census, run_cli
+    "generator") or the word oracle (kind "oracle") at (p, d) in this
+    process; returns its CPU seconds, classes, whether the exact counts
+    held, and the process's peak RSS as the timed work ends."""
+    from dmcensus import build_census, compare_census, oracle_census
     from dmcensus.canonical import clear_cache
     from dmcensus.generate import _canonical_rows, class_count, count_regular_matrices
 
@@ -89,12 +73,6 @@ def measure(kind: str, p: int, d: int) -> dict:
     elif kind == "oracle":
         report = oracle_census(p, d)
         classes = len(report.entries)
-    elif kind == "cli":
-        out = _LineCount()
-        with contextlib.redirect_stdout(out):
-            code = run_cli(["census", "-p", str(p), "-d", str(d), "--format", "csv"])
-        classes = out.lines - 1  # after the header
-        exact = code == 0 and classes == class_count(p, d)
     else:
         classes = labeled = 0
         for _, result in _canonical_rows(p, d):
