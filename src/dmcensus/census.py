@@ -18,11 +18,11 @@ Two independent routes produce the census for (p, d).
   relabelings of the first key of the class left in the tally, listed by
   brute force and popped, give the canonical matrix, their least, and
   |Aut|, p! over their number (orbit-stabilizer), and the class's words
-  must split evenly over them.  Keys are laid out, listed and decoded in
-  generate alone, and their layout is stated once, in
-  generate._word_tally.  An oracle of more than WORD_BUDGET words, or
-  whose orbit sweep would list more than ORBIT_BUDGET relabelings, is
-  refused before any word is counted.
+  must split evenly over them.  Keys are laid out and listed in generate
+  alone, and their layout is stated once, in generate._word_tally.  An
+  oracle of more than WORD_BUDGET words, or whose orbit sweep would list
+  more than ORBIT_BUDGET relabelings, is refused before any word is
+  counted.
 
 Neither route validates a labeled matrix.  The generator makes one ArcMatrix
 per canonical matrix, and the grouping one per class, from the least of its
@@ -254,18 +254,20 @@ def build_census(p: int, d: int) -> CensusReport:
 # The most configuration words oracle_census tallies; a larger oracle is
 # refused before anything is enumerated.  The tally's time follows the
 # words, timed on one core of a 2-vCPU host (tools/time_builds.py,
-# BENCH_21.json): at (6,2), 7,484,400 words, the whole oracle takes 2.0-3.2 s
-# of CPU, about two thirds of it in the tally, and at (4,3), 369,600 words,
-# 0.06-0.09 s.  The nearest word counts above it are 17,153,136 at
-# (3,6), 63,063,000 at (4,4), 168,168,000 at (5,3) and 681,080,400 at (7,2).
+# BENCH_28.json): at (6,2), 7,484,400 words, the whole oracle takes 2.1-3.1 s
+# of CPU, about two thirds of it in the tally, and peaks at 50 MiB RSS; at
+# (2,12), 2,704,156 words over 13 matrices, 0.36-0.57 s; and at (4,3),
+# 369,600 words, 0.07-0.11 s.  The nearest word counts above it are
+# 17,153,136 at (3,6), 63,063,000 at (4,4), 168,168,000 at (5,3) and
+# 681,080,400 at (7,2).
 WORD_BUDGET = 10**7
 
 # The most relabelings the oracle's orbit sweep lists, p! for each of the
 # class_count classes; a larger oracle is refused before anything is
 # enumerated.  The sweep's time follows the relabelings, timed on one core
-# of a 2-vCPU host (tools/time_builds.py, BENCH_21.json): the whole oracle
-# takes 1.6-2.6 s of CPU at (8,1), 887,040 relabelings, nearly all of it in
-# the sweep, and 2.0-3.2 s at (6,2), 285,840.  The word budget admits two
+# of a 2-vCPU host (tools/time_builds.py, BENCH_28.json): the whole oracle
+# takes 1.7-2.1 s of CPU at (8,1), 887,040 relabelings, nearly all of it in
+# the sweep, and 2.1-3.1 s at (6,2), 285,840.  The word budget admits two
 # sizes above it: (9,1), 10,886,400 relabelings, about 36 s (30 orbits of
 # 1.2 s each), and (10,1), 152,409,600.
 ORBIT_BUDGET = 10**6

@@ -28,12 +28,11 @@ does not list the words at all: _word_tally builds each word's integer key
 from a head key, over the first half of the positions, and a tail key from
 lists shared by every head that leaves the same multiset of symbols, and
 counts every word under its key in one Counter pass, without that check
-(the oracle checks regularity once per class instead).  Each distinct
-integer key decodes once into the oracle's key of the matrix, and both
-layouts are stated in _word_tally's docstring alone.  The grouping in
-census lists each class's relabelings of such a key with
-_orbit_lister and decodes the least with _key_rows, so the layout is known
-here alone.  enumerate_words, the words one by one, is the tally's test
+(the oracle checks regularity once per class instead).  The key is the
+matrix itself, in the layout stated in _word_tally's docstring alone.  The
+grouping in census lists each class's relabelings of such a key with
+_orbit_lister and reads the least as rows with _key_rows, so the layout is
+known here alone.  enumerate_words, the words one by one, is the tally's test
 reference.
 """
 
@@ -45,7 +44,6 @@ from functools import cache
 from itertools import chain, product
 from math import comb, factorial, gcd
 from operator import itemgetter, le
-from struct import Struct
 
 from .canonical import CanonicalResult, _least_block, _result
 from .core import ArcMatrix, check_node_cap, total_configurations
@@ -228,26 +226,19 @@ def enumerate_words(p: int, d: int) -> Iterator[Word]:
         word[k + 1 :] = reversed(word[k + 1 :])
 
 
-def _word_tally(p: int, d: int) -> dict:
+def _word_tally(p: int, d: int) -> Counter:
     """Count the configuration words projecting to each arc matrix, by its key.
 
     A key is the matrix in the oracle's layout, which is stated here alone
     and read or written only in this module (_word_tally, _orbit_lister,
-    _key_rows): a bytes of the p*p entries in row-major order, entry (i, j)
-    at offset i * p + j.  Each entry is at most d, and the count budget
-    keeps d <= 62 at every p (d <= 33 for p >= 2), so each fits one byte,
-    and bytes compare as the row-major lexicographic order that ranks census
-    classes, so the least key of a class is its canonical matrix.
-
-    Keys are unchecked, in order of first appearance in enumerate_words'
-    lexicographic order.  Each word is summed to an integer key that gives
-    each row of the matrix a slot of w whole bytes, row i in bytes i * w to
-    (i + 1) * w - 1 of the key read little-endian.  A slot holds its row's
-    value in base d + 1, entry j as digit j, so a symbol s in block j adds
-    (d+1)^j << 8 * w * (s - 1).  w is the fewest bytes that hold the
-    (d+1)^p row values; the count budget keeps (d+1)^p <= 2^16, so w is 0
-    at p = 0, else 1 or 2.  Each distinct key decodes once, by int.to_bytes
-    into its p slots and one table of the (d+1)^p rows, indexed by value.
+    _key_rows): an int whose p*p bytes, read big-endian, are the entries in
+    row-major order, entry (i, j) in byte i * p + j, so a symbol s in block
+    j adds 1 << 8 * (p*p - 1 - (s-1)*p - j).  Each entry is at most d, and
+    the count budget keeps d <= 62 at every p (d <= 33 for p >= 2), so each
+    fits its byte, and keys of equal byte length compare as the row-major
+    lexicographic order that ranks census classes, so the least key of a
+    class is its canonical matrix.  Keys are unchecked, in order of first
+    appearance in enumerate_words' lexicographic order.
 
     The words are not listed one by one but split in two (meet in the
     middle; Horowitz and Sahni 1974).  The heads, fills of the first n // 2
@@ -264,11 +255,9 @@ def _word_tally(p: int, d: int) -> dict:
     """
     check_node_cap(p)
     total_configurations(p, d)
-    base = d + 1
-    width = ((base**p - 1).bit_length() + 7) // 8  # bytes in a row's slot
     n = d * p
     half = n // 2
-    tables = [tuple(base**j << 8 * width * s for s in range(p)) for j in range(p)]
+    tables = [tuple(1 << 8 * (p * p - 1 - s * p - j) for s in range(p)) for j in range(p)]
     digits = [tables[pos // d] for pos in range(n)]  # shared by the d positions of a block
 
     def step(counts, s, by):  # counts with symbol s's count moved by `by`
@@ -292,15 +281,7 @@ def _word_tally(p: int, d: int) -> dict:
         }
         heads = [(key + digit, rest) for key, left in heads for digit, rest in moves[left]]
 
-    keys = Counter(chain.from_iterable(map(key.__add__, tails[left]) for key, left in heads))
-    del heads, tails  # the decoded keys take more room; do not hold these beside them
-    rows = [bytes(reversed(row)) for row in product(range(base), repeat=p)]  # by value
-    slots = Struct(f"<{p}{'BH'[width - 1]}").unpack
-    size = width * p
-    return {
-        b"".join(map(rows.__getitem__, slots(key.to_bytes(size, "little")))): count
-        for key, count in keys.items()
-    }
+    return Counter(chain.from_iterable(map(key.__add__, tails[left]) for key, left in heads))
 
 
 def _plain_changes(p: int) -> list[int]:
@@ -324,15 +305,16 @@ def _plain_changes(p: int) -> list[int]:
     return swaps
 
 
-def _orbit_lister(p: int) -> Callable[..., set]:
+def _orbit_lister(p: int) -> Callable[[int], set[int]]:
     """A function that lists the p! relabelings of a p-node key of _word_tally.
 
-    It takes them along _plain_changes(p): each is the one before with two
-    adjacent nodes swapped, their rows and their columns, made by one of
-    p - 1 byte getters shared by the whole sweep.  The set it returns holds
-    every distinct relabeling once, so its size is p!/|Aut|; for p <= 1 the
-    sweep is empty and the set holds the key alone.
+    It takes them along _plain_changes(p) on the key's p*p bytes: each is the
+    one before with two adjacent nodes swapped, their rows and their columns,
+    made by one of p - 1 byte getters shared by the whole sweep.  The set it
+    returns holds every distinct relabeling once, as a key, so its size is
+    p!/|Aut|; for p <= 1 the sweep is empty and the set holds the key alone.
     """
+    size = p * p
     swaps = []
     for i in range(p - 1):
         node = list(range(p))
@@ -341,18 +323,19 @@ def _orbit_lister(p: int) -> Callable[..., set]:
     sweep = [swaps[i] for i in _plain_changes(p)]
 
     def orbit(key):
-        keys = {key}
+        entries = key.to_bytes(size, "big")
+        seen = {entries}
         for get in sweep:
-            key = bytes(get(key))
-            keys.add(key)
-        return keys
+            entries = bytes(get(entries))
+            seen.add(entries)
+        return {int.from_bytes(entries, "big") for entries in seen}
 
     return orbit
 
 
-def _key_rows(key, p: int) -> tuple[tuple[int, ...], ...]:
+def _key_rows(key: int, p: int) -> tuple[tuple[int, ...], ...]:
     """The plain row tuples of a p-node key of _word_tally, p entries each."""
-    return tuple(zip(*[iter(key)] * p))
+    return tuple(zip(*[iter(key.to_bytes(p * p, "big"))] * p))
 
 
 def word_to_matrix(word: Word, p: int, d: int) -> ArcMatrix:

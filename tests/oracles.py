@@ -125,9 +125,9 @@ def brute_matrix_word_counts(p, d):
 
 
 def tally_key(rows):
-    """The oracle's tally key of a matrix given as rows: the bytes of its
-    entries in row-major order."""
-    return bytes(e for row in rows for e in row)
+    """The oracle's tally key of a matrix given as rows: the int whose
+    big-endian bytes are its entries in row-major order."""
+    return int.from_bytes(bytes(e for row in rows for e in row), "big")
 
 
 def word_tally(words, p, d):

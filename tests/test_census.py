@@ -81,10 +81,10 @@ def test_grouping_rejects_a_class_short_of_a_labeled_matrix():
 
 
 def test_grouping_memory_follows_one_orbit():
-    # The grouping holds the tally's keys, one orbit of byte keys and the
-    # classes, about 100-120 KiB traced here; one orbit of row tuples took
-    # 320 KiB, and a second table of the relabelings still to come, keyed
-    # by bytes, peaked at 769 KiB.
+    # The grouping holds the tally's keys, one orbit of keys, as bytes and
+    # as ints, and the classes, about 100-120 KiB traced here; one orbit of
+    # row tuples took 320 KiB, and a second table of the relabelings still
+    # to come, keyed by bytes, peaked at 769 KiB.
     tally = _word_tally(5, 2)
     clear_cache()
     tracemalloc.start()
@@ -99,7 +99,8 @@ def test_grouping_memory_follows_one_orbit():
 def test_grouping_memory_at_degree_one_follows_the_byte_keys():
     # At (6,1) an orbit of 720 row tuples of 6 row tuples each peaked at
     # 222-343 KiB traced; the same orbit as 720 byte keys, with the 719-step
-    # sweep of shared getters, peaks at about 50 KiB.
+    # sweep of shared getters, and then as 720 int keys, peaks at about
+    # 66 KiB.
     tally = _word_tally(6, 1)
     clear_cache()
     tracemalloc.start()

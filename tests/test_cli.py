@@ -295,6 +295,9 @@ STDOUT_SHA256 = [
     # 62 is the largest degree admitted at any p
     ("oracle -p 1 -d 62 --format csv", "465a973e7182c9a3ef641ebc93f1a21345ab42dcabf4f2b0f89af6e1cc49d243"),
     ("oracle -p 4 -d 3 --format csv", "d83db8b9446189cfa19c82411b2c7a5d029a99686034fd88d618c924a82f6f52"),
+    # the most words per matrix: 2,704,156 words over 13 matrices, and 756,756 over 231
+    ("oracle -p 2 -d 12 --format csv", "c13e47070dccd93a05cea2539a59bf763e3e1696aba2fc799d602ec6004f18bd"),
+    ("oracle -p 3 -d 5 --format csv", "1dd54a38cefb09406809ef8b74d940824b50b972b51999690b32d5896429a0c6"),
     ("oracle -p 5 --format text", "f7e27542bf960859912967e96c645a25c3522130e174e13135d527bcbe91718f"),
     ("oracle -p 6 -d 1 --format csv", "ac13970cf599da2feec11d41de22938b07a7ed78dd160353b3a7f62bd52803de"),
     ("oracle -p 7 -d 1 --format csv", "4ed57a4943b9d4160dbdee35287bcbc2e945880b49f28cc87ce72cd33ab11e92"),

@@ -218,7 +218,6 @@ def test_word_tally_matches_brute_force(p, d):
 
 @pytest.mark.parametrize(
     "p,d",
-    # (8,1)'s rows take values up to 255, the most a one-byte row slot holds;
     # (1,62) is the largest degree admitted at any p
     [(0, 2), (1, 5), (1, 62), (2, 3), (3, 2), (3, 3), (6, 1), (4, 2), (5, 2), (2, 4), (8, 1)],
 )
@@ -229,15 +228,15 @@ def test_word_tally_matches_the_per_word_tally(p, d):
     assert list(got) == list(expected)  # the grouping meets each class's matrices in this order
 
 
-def test_word_tally_decodes_two_byte_row_slots():
-    # (9,1), rows up to 511, is the smallest size whose row slots take two
-    # bytes.  At d = 1 each word is a permutation of the nodes, in
-    # lexicographic order, and the only word of its permutation matrix,
-    # whose entry (s, j) is here byte (s - 1) * p + j of a little-endian int.
+def test_word_tally_keys_each_permutation_matrix_by_its_row_major_bytes():
+    # At d = 1 each word is a permutation of the nodes, in lexicographic
+    # order, and the only word of its permutation matrix, whose entry (s, j)
+    # is here byte (s - 1) * p + j of a little-endian int, so its row-major
+    # bytes read back big-endian.  (9,1) has 362,880 such keys of 81 bytes.
     p = 9
     entries = [{s: 1 << 8 * ((s - 1) * p + j) for s in range(1, p + 1)} for j in range(p)]
     expected = [
-        sum(map(operator.getitem, entries, word)).to_bytes(p * p, "little")
+        int.from_bytes(sum(map(operator.getitem, entries, word)).to_bytes(p * p, "little"), "big")
         for word in itertools.permutations(range(1, p + 1))
     ]
     got = _word_tally(p, 1)
@@ -285,6 +284,20 @@ def test_word_tally_holds_no_list_of_words():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def test_word_tally_peak_is_close_to_the_tally_it_returns():
+    # (8,1): 40,320 keys of 64 bytes, about 5 MiB traced.  The tally is
+    # counted under its final keys, so nothing beside it is built from it;
+    # a second dict of the keys in another layout peaked at 1.5 times it.
+    tracemalloc.start()
+    try:
+        tally = _word_tally(8, 1)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tally) == math.factorial(8)
+    assert peak < 1.3 * size
 
 
 @pytest.mark.parametrize("symbol", [0, 3, -1])
