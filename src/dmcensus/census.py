@@ -222,7 +222,13 @@ def build_census(p: int, d: int) -> CensusReport:
     first, and a census of more than CLASS_BUDGET classes is refused with
     CountBudgetError.
     """
-    expected_classes = _check_census_budget(p, d)
+    return _build_census(p, d, _check_census_budget(p, d))
+
+
+def _build_census(p: int, d: int, expected_classes: int) -> CensusReport:
+    """build_census(p, d) once _check_census_budget(p, d) has passed and
+    returned expected_classes, so that a caller which needs the class count
+    first makes it once."""
     classes: dict[ArcMatrix, CanonicalResult] = {}
     for rows, result in _canonical_rows(p, d):
         if result.canonical.entries != rows:
@@ -253,21 +259,21 @@ def build_census(p: int, d: int) -> CensusReport:
 
 # The most configuration words oracle_census tallies; a larger oracle is
 # refused before anything is enumerated.  The tally's time follows the
-# words, timed on one core of a 2-vCPU host (tools/time_builds.py,
-# BENCH_28.json): at (6,2), 7,484,400 words, the whole oracle takes 2.1-3.1 s
-# of CPU, about two thirds of it in the tally, and peaks at 50 MiB RSS; at
-# (2,12), 2,704,156 words over 13 matrices, 0.36-0.57 s; and at (4,3),
-# 369,600 words, 0.07-0.11 s.  The nearest word counts above it are
-# 17,153,136 at (3,6), 63,063,000 at (4,4), 168,168,000 at (5,3) and
-# 681,080,400 at (7,2).
+# words, about 0.06-0.08 microseconds each, timed on one core of a 2-vCPU
+# host (tools/time_builds.py, BENCH_29.json): at (6,2), 7,484,400 words,
+# the whole oracle takes 0.93-1.02 s of CPU, about two fifths of it in the
+# tally and the rest in the grouping, and peaks at 49 MiB RSS; at (2,12),
+# 2,704,156 words over 13 matrices, 0.12 s; and at (4,3), 369,600 words,
+# 0.02-0.03 s.  The nearest word counts above it are 17,153,136 at (3,6),
+# 63,063,000 at (4,4), 168,168,000 at (5,3) and 681,080,400 at (7,2).
 WORD_BUDGET = 10**7
 
 # The most relabelings the oracle's orbit sweep lists, p! for each of the
 # class_count classes; a larger oracle is refused before anything is
 # enumerated.  The sweep's time follows the relabelings, timed on one core
-# of a 2-vCPU host (tools/time_builds.py, BENCH_28.json): the whole oracle
-# takes 1.7-2.1 s of CPU at (8,1), 887,040 relabelings, nearly all of it in
-# the sweep, and 2.1-3.1 s at (6,2), 285,840.  The word budget admits two
+# of a 2-vCPU host (tools/time_builds.py, BENCH_29.json): the whole oracle
+# takes 1.7-1.8 s of CPU at (8,1), 887,040 relabelings, nearly all of it in
+# the sweep, and 0.93-1.02 s at (6,2), 285,840.  The word budget admits two
 # sizes above it: (9,1), 10,886,400 relabelings, about 36 s (30 orbits of
 # 1.2 s each), and (10,1), 152,409,600.
 ORBIT_BUDGET = 10**6

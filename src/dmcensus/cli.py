@@ -20,6 +20,7 @@ from .census import (
     CensusEntry,
     CensusReport,
     VerificationReport,
+    _build_census,
     _check_census_budget,
     _check_oracle_budget,
     _plain_ints,
@@ -292,9 +293,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_lookup(args) -> int:
     mono = parse_monomial(args.monomial)
-    _check_census_budget(args.p, args.d)
+    classes = _check_census_budget(args.p, args.d)
     monomial_to_matrix(mono, args.p, args.d)  # its degrees must fit before the build
-    report = build_census(args.p, args.d)
+    report = _build_census(args.p, args.d, classes)
     entry = class_lookup(report, mono)
     print(f"class {report.p},{entry.rank} cardinality {entry.cardinality}")
     return EXIT_OK
@@ -310,7 +311,7 @@ def _cmd_render(args) -> int:
         raise ValueError(
             f"rank {rank} out of range; census for p={p}, d={args.d} has {classes} classes"
         )
-    report = build_census(p, args.d)
+    report = _build_census(p, args.d, classes)
     sys.stdout.write(emit_dot(report.entries[rank - 1].canonical))
     return EXIT_OK
 

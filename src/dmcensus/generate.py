@@ -24,16 +24,18 @@ enumerate_regular_matrices yields ArcMatrix objects, and word_to_matrix
 checks that its word is an arrangement of 1^d ... p^d.  The census reads
 _canonical_rows as plain row tuples, each with the CanonicalResult, and so
 the one ArcMatrix, of the walk that accepted it.  The word oracle in census
-does not list the words at all: _word_tally builds each word's integer key
-from a head key, over the first half of the positions, and a tail key from
-lists shared by every head that leaves the same multiset of symbols, and
-counts every word under its key in one Counter pass, without that check
-(the oracle checks regularity once per class instead).  The key is the
-matrix itself, in the layout stated in _word_tally's docstring alone.  The
-grouping in census lists each class's relabelings of such a key with
-_orbit_lister and reads the least as rows with _key_rows, so the layout is
-known here alone.  enumerate_words, the words one by one, is the tally's test
-reference.
+does not list the words at all: _word_tally splits them at a block
+boundary into heads, which fill the first p // 2 columns of the matrix, and
+tails, from lists shared by every head that leaves the same multiset of
+symbols and held as small numbers; it walks each head key's tail list once
+per head in one Counter pass, one increment per word, without that check
+(the oracle checks regularity once per class instead), and writes the
+counts under each word's key, the head key plus the tail key.  The key is
+the matrix itself, in the layout stated in _word_tally's docstring alone;
+the tail numbers never leave the call.  The grouping in census lists each
+class's relabelings of such a key with _orbit_lister and reads the least as
+rows with _key_rows, so the layout is known here alone.  enumerate_words,
+the words one by one, is the tally's test reference.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable, Iterator
 from functools import cache
-from itertools import chain, product
+from itertools import chain, product, repeat
 from math import comb, factorial, gcd
 from operator import itemgetter, le
 
@@ -241,37 +243,50 @@ def _word_tally(p: int, d: int) -> Counter:
     appearance in enumerate_words' lexicographic order.
 
     The words are not listed one by one but split in two (meet in the
-    middle; Horowitz and Sahni 1974).  The heads, fills of the first n // 2
-    of the n = d * p positions, are expanded one position at a time, as a
-    list in lexicographic order, each with its partial key and the symbols
-    it leaves.  The tails are built from the last position back: one list of
-    keys per position and multiset of symbols used from there on, in
-    lexicographic order, joined by C-level maps of int.__add__ from the
-    lists of the next position, which they share.  One Counter pass adds
-    each head key to each key of the tail list of the symbols it leaves:
-    each sum is one word and adds 1 to its own key, so no count is
-    multiplied.  No table outlives the call.  A (p, d) past the node cap or
-    the count budget fails before any table is built.
+    middle; Horowitz and Sahni 1974) at a block boundary: the heads fill the
+    first p // 2 blocks, the tails the rest (the larger part at odd p, where
+    that peaks lower).  A head fills whole columns, so its key fixes the
+    symbols it leaves, and each pair of a head key and a key of the tail
+    list of those symbols adds up to its own matrix.  The heads are expanded
+    one position at a time, in lexicographic order, each with its partial
+    key and the symbols it leaves.  The tails are built from the last
+    position back: one list per position and multiset of symbols used from
+    there on, in lexicographic order, joined from the lists of the next
+    position.  A list is held as its distinct keys, in order of first
+    appearance, and one small number per tail, its key's index there, so a
+    join makes each distinct key once and maps the numbers at C level.  The
+    heads are grouped by key, in order of first appearance, and one Counter
+    pass per group walks its tail list once per head: each number is one
+    word and adds 1 to its count, so no count is multiplied.  Every number
+    first appears in order, so the counts come out in number order and go
+    into the tally under head key plus tail key with one dict.update.  The
+    numbers never leave the call, and no table outlives it.  A (p, d) past
+    the node cap or the count budget fails before any table is built.
     """
     check_node_cap(p)
     total_configurations(p, d)
     n = d * p
-    half = n // 2
+    half = d * (p // 2)
     tables = [tuple(1 << 8 * (p * p - 1 - s * p - j) for s in range(p)) for j in range(p)]
     digits = [tables[pos // d] for pos in range(n)]  # shared by the d positions of a block
 
     def step(counts, s, by):  # counts with symbol s's count moved by `by`
         return (*counts[:s], counts[s] + by, *counts[s + 1 :])
 
-    tails = {(0,) * p: [0]}  # keys of the fills of positions pos..n-1, by the symbols used
+    def joined(parts):  # (keys, numbers) of each (digit, (keys, numbers)) part's digit + tails
+        number = {}
+        renumbered = []
+        for digit, (keys, numbers) in parts:
+            index = [number.setdefault(digit + key, len(number)) for key in keys]
+            renumbered.append(map(index.__getitem__, numbers))
+        return list(number), list(chain.from_iterable(renumbered))
+
+    tails = {(0,) * p: ([0], [0])}  # the fills of positions pos..n-1, by the symbols used
     for pos in range(n - 1, half - 1, -1):
         table = digits[pos]
         used = {step(m, s, 1) for m in tails for s in range(p) if m[s] < d}
         tails = {
-            m: list(chain.from_iterable(
-                map(table[s].__add__, tails[step(m, s, -1)]) for s in range(p) if m[s]
-            ))
-            for m in used
+            m: joined((table[s], tails[step(m, s, -1)]) for s in range(p) if m[s]) for m in used
         }
     heads = [(0, (d,) * p)]  # (key, symbols left) of each fill of the positions so far
     for table in digits[:half]:
@@ -280,8 +295,17 @@ def _word_tally(p: int, d: int) -> Counter:
             for left in {left for _, left in heads}
         }
         heads = [(key + digit, rest) for key, left in heads for digit, rest in moves[left]]
+    groups = {}  # head key: [symbols left, heads with that key]
+    for key, left in heads:
+        groups.setdefault(key, [left, 0])[1] += 1
 
-    return Counter(chain.from_iterable(map(key.__add__, tails[left]) for key, left in heads))
+    tally, walked = Counter(), Counter()
+    for key, (left, count) in groups.items():
+        keys, numbers = tails[left]
+        walked.clear()
+        walked.update(chain.from_iterable(repeat(numbers, count)))
+        dict.update(tally, zip(map(key.__add__, keys), walked.values()))
+    return tally
 
 
 def _plain_changes(p: int) -> list[int]:

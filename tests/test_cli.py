@@ -24,7 +24,7 @@ from dmcensus.cli import (
     render_census_jsonl,
     render_census_text,
 )
-from dmcensus.generate import _canonical_rows
+from dmcensus.generate import _canonical_rows, class_count
 
 SRC_DIR = str(Path(dmcensus.__file__).resolve().parent.parent)
 
@@ -627,6 +627,23 @@ def test_render_refuses_a_rank_past_the_class_count_before_the_build(
     assert capsys.readouterr().err == (
         f"error: rank {rank} out of range; census for p={p}, d=2 has {classes} classes\n"
     )
+
+
+@pytest.mark.parametrize(
+    "args", [["lookup", "-p", "4", "--monomial", "x12 x12 x21 x21 x34 x34 x43 x43"],
+             ["render", "--class", "4,8"]]
+)
+def test_lookup_and_render_count_the_classes_once(monkeypatch, args):
+    # the budget check's count is handed to the build, not made again there
+    counted = []
+
+    def counting_class_count(p, d):
+        counted.append((p, d))
+        return class_count(p, d)
+
+    monkeypatch.setattr(dmcensus.census, "class_count", counting_class_count)
+    assert run_cli(args) == 0
+    assert counted == [(4, 2)]
 
 
 def test_lookup_checks_the_degrees_before_the_build(monkeypatch, capsys):

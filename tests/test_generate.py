@@ -3,9 +3,11 @@ import math
 import operator
 import tracemalloc
 from collections import Counter
+from collections.abc import Mapping
 
 import pytest
 
+import dmcensus.generate
 from dmcensus import (
     ArcMatrix,
     CountBudgetError,
@@ -218,14 +220,35 @@ def test_word_tally_matches_brute_force(p, d):
 
 @pytest.mark.parametrize(
     "p,d",
-    # (1,62) is the largest degree admitted at any p
-    [(0, 2), (1, 5), (1, 62), (2, 3), (3, 2), (3, 3), (6, 1), (4, 2), (5, 2), (2, 4), (8, 1)],
+    # (1,62) is the largest degree admitted at any p; (4,3) is the bench's
+    # oracle size; at (3,4) the heads fill one block and the tails two
+    [(0, 2), (1, 5), (1, 62), (2, 3), (3, 2), (3, 3), (6, 1), (4, 2), (5, 2), (2, 4), (8, 1),
+     (4, 3), (3, 4)],
 )
 def test_word_tally_matches_the_per_word_tally(p, d):
     got = _word_tally(p, d)
     expected = word_tally(enumerate_words(p, d), p, d)
     assert got == expected
     assert list(got) == list(expected)  # the grouping meets each class's matrices in this order
+
+
+@pytest.mark.parametrize("p,d", [(4, 3), (3, 4), (8, 1)])
+def test_word_tally_counts_each_word_once(monkeypatch, p, d):
+    # Every element a Counter pass of the tally consumes is one word, so
+    # they number the words; a pass that counted each tail once and
+    # multiplied by the heads that share it would consume fewer.
+    consumed = []
+
+    class CountingCounter(Counter):
+        def update(self, iterable=None, /, **kwds):
+            if iterable is not None and not isinstance(iterable, Mapping):
+                iterable = list(iterable)
+                consumed.append(len(iterable))
+            super().update(iterable, **kwds)
+
+    monkeypatch.setattr(dmcensus.generate, "Counter", CountingCounter)
+    tally = _word_tally(p, d)
+    assert sum(consumed) == total_configurations(p, d) == sum(tally.values())
 
 
 def test_word_tally_keys_each_permutation_matrix_by_its_row_major_bytes():

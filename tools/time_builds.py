@@ -14,11 +14,10 @@ its own:
   count_regular_matrices(8, 2);
 - oracle_census at (4,3) and (5,2), the sizes that the bench's oracle-d3
   round and `verify --all` run, at (2,12) and (3,5), the most words per
-  matrix, where the width of the tally's keys costs most per matrix, and at
-  (6,2) and (8,1), the largest sizes census.WORD_BUDGET and
-  census.ORBIT_BUDGET admit, timed and its peak RSS read alone; it is exact
-  when compare_census finds no diff against build_census, which runs after
-  both readings.
+  matrix, where counting the words is most of the oracle, and at (6,2) and
+  (8,1), the largest sizes census.WORD_BUDGET and census.ORBIT_BUDGET
+  admit, timed and its peak RSS read alone; it is exact when compare_census
+  finds no diff against build_census, which runs after both readings.
 
 The startup record holds the wall seconds of three fresh interpreters on
 the same pinned CPU, RUNS of each, interleaved: a bare `python -c pass`, one
