@@ -16,10 +16,11 @@ Two independent routes produce the census for (p, d).
   _group_by_canonical consumes the tally, the key of each labeled matrix
   -> its count, one class at a time, with no canonical search: the p!
   relabelings of the first key of the class left in the tally, listed by
-  brute force and popped, give the canonical matrix, their least, and
-  |Aut|, p! over their number (orbit-stabilizer), and the class's words
-  must split evenly over them.  Keys are laid out and listed in generate
-  alone, and their layout is stated once, in generate._word_tally.  An
+  brute force with their least as rows, give the canonical matrix, that
+  least, and |Aut|, p! over their number (orbit-stabilizer); each is popped
+  once, and the class's words must split evenly over them.  Keys are laid
+  out, listed and read in generate alone, and their layout is stated once,
+  in generate._word_tally; here they are opaque dict keys.  An
   oracle of more than WORD_BUDGET words, or whose orbit sweep would list
   more than ORBIT_BUDGET relabelings, is refused before any word is
   counted.
@@ -67,7 +68,6 @@ from .core import (
 )
 from .generate import (
     _canonical_rows,
-    _key_rows,
     _orbit_lister,
     _word_tally,
     class_count,
@@ -136,26 +136,27 @@ def _group_by_canonical(tally: dict, p: int) -> dict[ArcMatrix, tuple[int, int]]
     Consumes tally: each class pops its labeled matrices as it forms.  The
     orbit of the first key of a class still in the tally, in the tally's
     order, all p! relabelings, is listed by brute force along one fixed
-    sweep of adjacent swaps (generate._orbit_lister): its least key is the
-    canonical matrix and p!/len(orbit) is |Aut| (orbit-stabilizer), so the
-    oracle shares no code with canonical search.  Every relabeling must
-    still be in the tally, so the class holds all the p!/|Aut| labeled
-    matrices callers derive instead of counting, and its words must split
-    evenly over them.
+    sweep of adjacent swaps (generate._orbit_lister), which alone reads the
+    keys and gives their least as rows, the canonical matrix; p!/len(orbit)
+    is |Aut| (orbit-stabilizer), so the oracle shares no code with canonical
+    search.  Each key is popped once and must still be in the tally, so
+    the class holds all the p!/|Aut| labeled matrices callers derive
+    instead of counting, and its words must split evenly over them.
     """
     orbit_of = _orbit_lister(p)
     classes: dict[ArcMatrix, tuple[int, int]] = {}
     for key in list(tally):
         if key not in tally:
             continue  # popped with the orbit of an earlier class
-        orbit = orbit_of(key)
-        canon = ArcMatrix(_key_rows(min(orbit), p))
-        if not orbit <= tally.keys():
+        rows, orbit = orbit_of(key)
+        canon = ArcMatrix(rows)
+        try:
+            words = sum(map(tally.pop, orbit))
+        except KeyError:
             raise CensusInvariantError(
                 f"class of {canon} lacks a labeled matrix; orbit-stabilizer demands "
                 f"{len(orbit)} of them"
-            )
-        words = sum(map(tally.pop, orbit))
+            ) from None
         if words % len(orbit):
             raise CensusInvariantError(
                 f"class of {canon}: {words} words over {len(orbit)} matrices "

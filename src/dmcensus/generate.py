@@ -33,8 +33,8 @@ per head in one Counter pass, one increment per word, without that check
 counts under each word's key, the head key plus the tail key.  The key is
 the matrix itself, in the layout stated in _word_tally's docstring alone;
 the tail numbers never leave the call.  The grouping in census lists each
-class's relabelings of such a key with _orbit_lister and reads the least as
-rows with _key_rows, so the layout is known here alone.  enumerate_words,
+class's relabelings of such a key with _orbit_lister, which also reads the
+least as rows, so the layout is known here alone.  enumerate_words,
 the words one by one, is the tally's test reference.
 """
 
@@ -232,15 +232,15 @@ def _word_tally(p: int, d: int) -> Counter:
     """Count the configuration words projecting to each arc matrix, by its key.
 
     A key is the matrix in the oracle's layout, which is stated here alone
-    and read or written only in this module (_word_tally, _orbit_lister,
-    _key_rows): an int whose p*p bytes, read big-endian, are the entries in
-    row-major order, entry (i, j) in byte i * p + j, so a symbol s in block
-    j adds 1 << 8 * (p*p - 1 - (s-1)*p - j).  Each entry is at most d, and
-    the count budget keeps d <= 62 at every p (d <= 33 for p >= 2), so each
-    fits its byte, and keys of equal byte length compare as the row-major
-    lexicographic order that ranks census classes, so the least key of a
-    class is its canonical matrix.  Keys are unchecked, in order of first
-    appearance in enumerate_words' lexicographic order.
+    and read or written only in this module (_word_tally and
+    _orbit_lister): an int whose p*p bytes, read big-endian, are the entries
+    in row-major order, entry (i, j) in byte i * p + j, so a symbol s in
+    block j adds 1 << 8 * (p*p - 1 - (s-1)*p - j).  Each entry is at most d,
+    and the count budget keeps d <= 62 at every p (d <= 33 for p >= 2), so
+    each fits its byte, and byte strings of one length compare as the
+    row-major lexicographic order that ranks census classes, so the least
+    relabeling's bytes are the canonical matrix.  Keys are unchecked, in
+    order of first appearance in enumerate_words' lexicographic order.
 
     The words are not listed one by one but split in two (meet in the
     middle; Horowitz and Sahni 1974) at a block boundary: the heads fill the
@@ -329,14 +329,16 @@ def _plain_changes(p: int) -> list[int]:
     return swaps
 
 
-def _orbit_lister(p: int) -> Callable[[int], set[int]]:
+def _orbit_lister(p: int) -> Callable[[int], tuple[tuple[tuple[int, ...], ...], list[int]]]:
     """A function that lists the p! relabelings of a p-node key of _word_tally.
 
     It takes them along _plain_changes(p) on the key's p*p bytes: each is the
     one before with two adjacent nodes swapped, their rows and their columns,
-    made by one of p - 1 byte getters shared by the whole sweep.  The set it
-    returns holds every distinct relabeling once, as a key, so its size is
-    p!/|Aut|; for p <= 1 the sweep is empty and the set holds the key alone.
+    made by one of p - 1 byte getters shared by the whole sweep.  It returns
+    the least relabeling as plain row tuples, read from the least bytes (one
+    byte per entry, so byte order is row-major lexicographic order), and a
+    list of every distinct relabeling once, as a key, so its length is
+    p!/|Aut|; for p <= 1 the sweep is empty and the list holds the key alone.
     """
     size = p * p
     swaps = []
@@ -352,14 +354,10 @@ def _orbit_lister(p: int) -> Callable[[int], set[int]]:
         for get in sweep:
             entries = bytes(get(entries))
             seen.add(entries)
-        return {int.from_bytes(entries, "big") for entries in seen}
+        rows = tuple(zip(*[iter(min(seen))] * p))
+        return rows, [int.from_bytes(entries, "big") for entries in seen]
 
     return orbit
-
-
-def _key_rows(key: int, p: int) -> tuple[tuple[int, ...], ...]:
-    """The plain row tuples of a p-node key of _word_tally, p entries each."""
-    return tuple(zip(*[iter(key.to_bytes(p * p, "big"))] * p))
 
 
 def word_to_matrix(word: Word, p: int, d: int) -> ArcMatrix:

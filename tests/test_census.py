@@ -80,9 +80,33 @@ def test_grouping_rejects_a_class_short_of_a_labeled_matrix():
         _group_by_canonical(tally.copy(), 3)
 
 
+class CallCountingCounter(Counter):
+    """A tally that counts its pop and keys calls."""
+
+    pops = keys_calls = 0
+
+    def pop(self, *args):
+        self.pops += 1
+        return super().pop(*args)
+
+    def keys(self):
+        self.keys_calls += 1
+        return super().keys()
+
+
+@pytest.mark.parametrize("p, d", [(4, 3), (6, 1)])
+def test_grouping_pops_each_labeled_matrix_once(p, d):
+    # each relabeling's key is hashed once, by its pop; no subset test reads keys()
+    tally = CallCountingCounter(_word_tally(p, d))
+    labeled = len(tally)
+    classes = _group_by_canonical(tally, p)
+    assert not tally and len(classes) == class_count(p, d)
+    assert (tally.pops, tally.keys_calls) == (labeled, 0)
+
+
 def test_grouping_memory_follows_one_orbit():
     # The grouping holds the tally's keys, one orbit of keys, as bytes and
-    # as ints, and the classes, about 100-120 KiB traced here; one orbit of
+    # as ints, and the classes, about 100-103 KiB traced here; one orbit of
     # row tuples took 320 KiB, and a second table of the relabelings still
     # to come, keyed by bytes, peaked at 769 KiB.
     tally = _word_tally(5, 2)
@@ -99,8 +123,8 @@ def test_grouping_memory_follows_one_orbit():
 def test_grouping_memory_at_degree_one_follows_the_byte_keys():
     # At (6,1) an orbit of 720 row tuples of 6 row tuples each peaked at
     # 222-343 KiB traced; the same orbit as 720 byte keys, with the 719-step
-    # sweep of shared getters, and then as 720 int keys, peaks at about
-    # 66 KiB.
+    # sweep of shared getters, and then as a list of 720 int keys, peaks at
+    # about 52 KiB.
     tally = _word_tally(6, 1)
     clear_cache()
     tracemalloc.start()

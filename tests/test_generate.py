@@ -26,12 +26,12 @@ from dmcensus import (
 from dmcensus.canonical import clear_cache
 from dmcensus.generate import (
     _canonical_rows,
-    _key_rows,
     _orbit_lister,
     _plain_changes,
     _word_tally,
 )
 from oracles import (
+    brute_canonical,
     brute_regular_matrices,
     brute_word_matrix,
     brute_words,
@@ -279,15 +279,22 @@ def test_plain_changes_visit_every_ordering_once(p):
     assert sorted(seen) == list(itertools.permutations(range(p)))
 
 
-@pytest.mark.parametrize("p, d", [(0, 2), (1, 5), (2, 3), (3, 2), (4, 2), (5, 1)])
+@pytest.mark.parametrize("p, d", [(0, 2), (1, 5), (2, 3), (3, 2), (4, 2), (5, 1), (6, 1)])
 def test_orbit_lister_lists_every_relabeling(p, d):
-    # against brute force over every node ordering, for each key of the tally
+    # against brute force over every node ordering, once per class, for each
+    # key of the tally
     orbit_of = _orbit_lister(p)
+    known = {}  # key: (least relabeling, every relabeling) of its class
     for key in _word_tally(p, d):
-        rows = _key_rows(key, p)
+        entries = key.to_bytes(p * p, "big")  # tally_key read backwards
+        rows = tuple(tuple(entries[i * p : (i + 1) * p]) for i in range(p))
         assert tally_key(rows) == key
-        expected = {tally_key(relabel(rows, order)) for order in itertools.permutations(range(p))}
-        assert orbit_of(key) == expected
+        if key not in known:
+            orbit = {tally_key(relabel(rows, order)) for order in itertools.permutations(range(p))}
+            known.update(dict.fromkeys(orbit, (brute_canonical(rows), orbit)))
+        least, keys = orbit_of(key)
+        assert len(keys) == len(set(keys))
+        assert (least, set(keys)) == known[key]
 
 
 def test_word_tally_refuses_before_building_a_table():

@@ -18,6 +18,7 @@ def test_time_builds_measures_a_small_size():
         assert (record["kind"], record["p"], record["d"]) == (kind, 3, 2)
         assert (record["classes"], record["exact"]) == (8, True)
         assert 0 <= record["cpu_s"] < 1
+        assert record["scaled_s"] > 0
         assert record["peak_rss_mib"] > 0
 
 
