@@ -14,16 +14,16 @@ Two independent routes produce the census for (p, d).
 * oracle_census counts configuration words per matrix and takes each class
   cardinality as its raw word count, with no counting formula.
   _group_by_canonical consumes the tally, the key of each labeled matrix
-  -> its count, one class at a time, with no canonical search: the p!
-  relabelings of the first key of the class left in the tally, listed by
-  brute force with their least as rows, give the canonical matrix, that
-  least, and |Aut|, p! over their number (orbit-stabilizer); each is popped
-  once, and the class's words must split evenly over them.  Keys are laid
-  out, listed and read in generate alone, and their layout is stated once,
-  in generate._word_tally; here they are opaque dict keys.  An
-  oracle of more than WORD_BUDGET words, or whose orbit sweep would list
-  more than ORBIT_BUDGET relabelings, is refused before any word is
-  counted.
+  -> its count, one class at a time, with no canonical search: the
+  distinct relabelings of the first key of the class left in the tally,
+  listed by coset recursion with their least as rows, give the canonical
+  matrix, that least, and |Aut|, p! over their number (orbit-stabilizer);
+  each is popped once, and the class's words must split evenly over them.
+  Keys are laid out, listed and read in generate alone, and their layout
+  is stated once, in generate._word_tally; here they are opaque dict keys.
+  An oracle of more than WORD_BUDGET words, or of more than ORBIT_BUDGET
+  relabelings, p! per class, is refused before any word is counted, so
+  (9,1) runs and (10,1) does not.
 
 Neither route validates a labeled matrix.  The generator makes one ArcMatrix
 per canonical matrix, and the grouping one per class, from the least of its
@@ -135,10 +135,10 @@ def _group_by_canonical(tally: dict, p: int) -> dict[ArcMatrix, tuple[int, int]]
 
     Consumes tally: each class pops its labeled matrices as it forms.  The
     orbit of the first key of a class still in the tally, in the tally's
-    order, all p! relabelings, is listed by brute force along one fixed
-    sweep of adjacent swaps (generate._orbit_lister), which alone reads the
-    keys and gives their least as rows, the canonical matrix; p!/len(orbit)
-    is |Aut| (orbit-stabilizer), so the oracle shares no code with canonical
+    order, its distinct relabelings, is listed by coset recursion, one node
+    at a time (generate._orbit_lister), which alone reads the keys and
+    gives their least as rows, the canonical matrix; p!/len(orbit) is |Aut|
+    (orbit-stabilizer), so the oracle shares no code with canonical
     search.  Each key is popped once and must still be in the tally, so
     the class holds all the p!/|Aut| labeled matrices callers derive
     instead of counting, and its words must split evenly over them.
@@ -190,8 +190,8 @@ def _finish_report(p: int, d: int, classes: dict[ArcMatrix, tuple[int, int]]) ->
 # of a 2-vCPU host (tools/time_builds.py): the slowest are (7,2), 2,183
 # classes in 1.2-1.6 s of CPU, (4,6), 5,822 classes in 0.5-0.8 s, and
 # (10,1), 42 classes in 0.1-0.2 s.  The nearest class counts above it are
-# 15,129 at (8,2), whose generator alone takes 9-12 s, 16,389 at (4,7),
-# 19,158 at (5,4) and 30,335 at (6,3); those last three are not timed yet.
+# 15,129 at (8,2), 16,389 at (4,7), 19,158 at (5,4) and 30,335 at (6,3),
+# whose generator alone takes 9-12 s, 0.7-1.2 s, 1.4-2.4 s and 3.5-6.3 s.
 CLASS_BUDGET = 10_000
 
 
@@ -269,20 +269,24 @@ def _build_census(p: int, d: int, expected_classes: int) -> CensusReport:
 # 63,063,000 at (4,4), 168,168,000 at (5,3) and 681,080,400 at (7,2).
 WORD_BUDGET = 10**7
 
-# The most relabelings the oracle's orbit sweep lists, p! for each of the
+# The most relabelings the oracle takes on, counted as p! for each of the
 # class_count classes; a larger oracle is refused before anything is
-# enumerated.  The sweep's time follows the relabelings, timed on one core
-# of a 2-vCPU host (tools/time_builds.py, BENCH_29.json): the whole oracle
-# takes 1.7-1.8 s of CPU at (8,1), 887,040 relabelings, nearly all of it in
-# the sweep, and 0.93-1.02 s at (6,2), 285,840.  The word budget admits two
-# sizes above it: (9,1), 10,886,400 relabelings, about 36 s (30 orbits of
-# 1.2 s each), and (10,1), 152,409,600.
-ORBIT_BUDGET = 10**6
+# enumerated.  The count bounds the grouping's work: its coset recursion
+# makes at most p! - 1 byte permutations per class, and fewer where |Aut|
+# is large.  Timed on one core of a 2-vCPU host (tools/time_builds.py,
+# BENCH_31.json), the whole oracle takes 7.9-8.5 s of CPU at (9,1),
+# 10,886,400 relabelings, most of it in the grouping, and peaks at 95 MiB
+# RSS; 0.7 s at (8,1), 887,040; and 1.0-1.2 s at (6,2), 285,840, about
+# half of it in the grouping.  At (9,1)'s 0.75 microseconds per relabeling
+# the budget holds an admitted oracle to about 15 s.  The word budget
+# admits one size above it, (10,1), 152,409,600 relabelings, 14 times
+# (9,1)'s.
+ORBIT_BUDGET = 2 * 10**7
 
 
 def _check_oracle_budget(p: int, d: int) -> None:
     """Refuse, with CountBudgetError, an oracle of more than WORD_BUDGET words
-    or one whose orbit sweep lists more than ORBIT_BUDGET relabelings."""
+    or of more than ORBIT_BUDGET relabelings, p! per class."""
     check_node_cap(p)
     words = total_configurations(p, d)
     if words > WORD_BUDGET:
@@ -304,9 +308,8 @@ def oracle_census(p: int, d: int) -> CensusReport:
 
     The grouping checks that every class got all its labeled matrices and
     that each class's words split evenly over them.  An oracle of more than
-    WORD_BUDGET words, or of more than ORBIT_BUDGET relabelings in the
-    grouping's orbit sweep, is refused with CountBudgetError before any word
-    is counted.
+    WORD_BUDGET words, or of more than ORBIT_BUDGET relabelings, p! per
+    class, is refused with CountBudgetError before any word is counted.
     """
     _check_oracle_budget(p, d)
     classes = _group_by_canonical(_word_tally(p, d), p)

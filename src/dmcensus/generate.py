@@ -33,9 +33,12 @@ per head in one Counter pass, one increment per word, without that check
 counts under each word's key, the head key plus the tail key.  The key is
 the matrix itself, in the layout stated in _word_tally's docstring alone;
 the tail numbers never leave the call.  The grouping in census lists each
-class's relabelings of such a key with _orbit_lister, which also reads the
-least as rows, so the layout is known here alone.  enumerate_words,
-the words one by one, is the tally's test reference.
+class's distinct relabelings of such a key with _orbit_lister, by coset
+recursion (Sims 1970; Butler 1991), one node at a time, at most p! - 1
+byte permutations per class, so that (9,1) runs in the oracle and (10,1)
+does not; it also reads the least as rows, so the layout is known here
+alone.  enumerate_words, the words one by one, is the tally's test
+reference.
 """
 
 from __future__ import annotations
@@ -308,52 +311,40 @@ def _word_tally(p: int, d: int) -> Counter:
     return tally
 
 
-def _plain_changes(p: int) -> list[int]:
-    """The p! - 1 adjacent transpositions of the plain changes order, as the
-    index i of each swap of positions i and i + 1.
-
-    Applied in turn to any arrangement of p items, they visit every one of
-    the p! arrangements exactly once (Trotter 1962; Johnson 1963): the last
-    item sweeps across the others, and between two sweeps the others take
-    one step of this sequence for p - 1, shifted by one while the last item
-    sits in front.
-    """
-    if p <= 1:
-        return []
-    inner = _plain_changes(p - 1)
-    swaps: list[int] = []
-    for k in range(len(inner) + 1):
-        swaps += range(p - 2, -1, -1) if k % 2 == 0 else range(p - 1)
-        if k < len(inner):
-            swaps.append(inner[k] + (k % 2 == 0))
-    return swaps
-
-
 def _orbit_lister(p: int) -> Callable[[int], tuple[tuple[tuple[int, ...], ...], list[int]]]:
-    """A function that lists the p! relabelings of a p-node key of _word_tally.
+    """A function that lists the distinct relabelings of a p-node key of _word_tally.
 
-    It takes them along _plain_changes(p) on the key's p*p bytes: each is the
-    one before with two adjacent nodes swapped, their rows and their columns,
-    made by one of p - 1 byte getters shared by the whole sweep.  It returns
-    the least relabeling as plain row tuples, read from the least bytes (one
-    byte per entry, so byte order is row-major lexicographic order), and a
-    list of every distinct relabeling once, as a key, so its length is
-    p!/|Aut|; for p <= 1 the sweep is empty and the list holds the key alone.
+    It builds the orbit by coset recursion (Sims 1970; Butler 1991) on the
+    key's p*p bytes.  The relabelings of nodes 0..k are those of nodes
+    0..k-1, each followed by nothing or by one transposition (i, k), i < k,
+    which swaps two nodes, their rows and their columns.  So for k = 1..p-1
+    the orbit under nodes 0..k is the orbit under nodes 0..k-1 together with
+    its images under the k transpositions (i, k), one byte getter each,
+    made once per p.  Level k permutes k times the orbit before it, so a
+    class costs at most p! - 1 byte permutations, the sum of k * k!, and
+    about p*p/2 per relabeling when |Aut| is large.  It returns the least
+    relabeling as plain row tuples, read from the least bytes (one byte per
+    entry, so byte order is row-major lexicographic order), and a list of
+    every distinct relabeling once, as a key, so its length is p!/|Aut|;
+    for p <= 1 there are no transpositions and the list holds the key
+    alone.
     """
     size = p * p
-    swaps = []
-    for i in range(p - 1):
-        node = list(range(p))
-        node[i], node[i + 1] = i + 1, i
-        swaps.append(itemgetter(*[node[a] * p + node[b] for a in range(p) for b in range(p)]))
-    sweep = [swaps[i] for i in _plain_changes(p)]
+    levels = []
+    for k in range(1, p):
+        getters = []
+        for i in range(k):
+            node = list(range(p))
+            node[i], node[k] = k, i
+            getters.append(itemgetter(*[node[a] * p + node[b] for a in range(p) for b in range(p)]))
+        levels.append(getters)
 
     def orbit(key):
-        entries = key.to_bytes(size, "big")
-        seen = {entries}
-        for get in sweep:
-            entries = bytes(get(entries))
-            seen.add(entries)
+        seen = {key.to_bytes(size, "big")}
+        for getters in levels:
+            level = list(seen)  # the orbit under the nodes before this one
+            for get in getters:
+                seen.update(map(bytes, map(get, level)))
         rows = tuple(zip(*[iter(min(seen))] * p))
         return rows, [int.from_bytes(entries, "big") for entries in seen]
 

@@ -524,11 +524,11 @@ def test_word_budget_exits_3_before_any_output(monkeypatch, argv, capsys):
 
 def test_orbit_budget_exits_3_before_any_output(monkeypatch, capsys):
     monkeypatch.setattr(dmcensus.census, "_word_tally", None)  # refused before any tally
-    assert run_cli(["oracle", "-p", "9", "-d", "1"]) == 3
+    assert run_cli(["oracle", "-p", "10", "-d", "1"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == ("error: oracle for p=9, d=1 lists 10886400 relabelings, "
-                   "above the budget of 1000000\n")
+    assert err == ("error: oracle for p=10, d=1 lists 152409600 relabelings, "
+                   "above the budget of 20000000\n")
 
 
 def test_verify_checks_the_orbit_budget_before_any_output(monkeypatch, capsys):
@@ -565,7 +565,7 @@ def test_verify_refuses_an_over_budget_catalog_size_before_printing(tmp_path, ca
         ["census", "-p", "8"],  # class budget
         ["oracle", "-p", "7"],  # word budget
         ["verify", "-p", "7"],
-        ["oracle", "-p", "9", "-d", "1"],  # orbit budget
+        ["oracle", "-p", "10", "-d", "1"],  # orbit budget
         # the largest degree, 62, at every p: the count at p <= 1 is 1
         *([cmd, "-p", p, "-d", "63"] for cmd in ("census", "oracle") for p in ("0", "1")),
         *(["lookup", "--monomial", "x11", "-p", p, "-d", "63"] for p in ("0", "1")),

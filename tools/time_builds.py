@@ -17,10 +17,11 @@ which also rescales its wall time to the bench's reference host speed
   count_regular_matrices(8, 2);
 - oracle_census at (4,3) and (5,2), the sizes that the bench's oracle-d3
   round and `verify --all` run, at (2,12) and (3,5), the most words per
-  matrix, where counting the words is most of the oracle, and at (6,2) and
-  (8,1), the largest sizes census.WORD_BUDGET and census.ORBIT_BUDGET
-  admit, timed and its peak RSS read alone; it is exact when compare_census
-  finds no diff against build_census, which runs after both readings.
+  matrix, where counting the words is most of the oracle, at (8,1), and at
+  (6,2) and (9,1), the largest sizes census.WORD_BUDGET and
+  census.ORBIT_BUDGET admit, timed and its peak RSS read alone; it is exact
+  when compare_census finds no diff against build_census, which runs after
+  both readings.
 
 The startup record holds the wall seconds of three fresh interpreters on
 the same pinned CPU, RUNS of each, interleaved: a bare `python -c pass`, one
@@ -58,7 +59,7 @@ from speed import pin, timed  # bench/speed.py
 RUNS = 3
 SIZES = (("build", 5, 2), ("build", 7, 2), ("build", 10, 1), ("build", 4, 6),
          ("generator", 8, 2), ("oracle", 4, 3), ("oracle", 5, 2), ("oracle", 2, 12),
-         ("oracle", 3, 5), ("oracle", 6, 2), ("oracle", 8, 1))
+         ("oracle", 3, 5), ("oracle", 6, 2), ("oracle", 8, 1), ("oracle", 9, 1))
 HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "linecache", "typing",
          "importlib.resources", "pathlib", "re", "enum")
 IMPORT = ("import sys; bare = set(sys.modules); import dmcensus; dmcensus.load_catalog(); "
