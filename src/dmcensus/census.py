@@ -190,8 +190,11 @@ def _finish_report(p: int, d: int, classes: dict[ArcMatrix, tuple[int, int]]) ->
 # of a 2-vCPU host (tools/time_builds.py): the slowest are (7,2), 2,183
 # classes in 1.2-1.6 s of CPU, (4,6), 5,822 classes in 0.5-0.8 s, and
 # (10,1), 42 classes in 0.1-0.2 s.  The nearest class counts above it are
-# 15,129 at (8,2), 16,389 at (4,7), 19,158 at (5,4) and 30,335 at (6,3),
-# whose generator alone takes 9-12 s, 0.7-1.2 s, 1.4-2.4 s and 3.5-6.3 s.
+# 15,129 at (8,2), 16,389 at (4,7), 19,158 at (5,4), 30,335 at (6,3) and
+# 41,725 at (4,8).  Their full builds, every check included, take CPU
+# medians of 6.07, 0.94, 1.68, 3.98 and 2.35 s (scaled to the bench's
+# reference host, 6.05, 0.90, 1.64, 3.96 and 2.24 s) and peak at 40.2, 31.6,
+# 35.4, 53.7 and 54.9 MiB RSS (BENCH_32.json).
 CLASS_BUDGET = 10_000
 
 

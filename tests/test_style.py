@@ -1,5 +1,8 @@
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import dmcensus
@@ -53,6 +56,21 @@ def test_package_exports_exactly_what_it_imports():
     assert len(exported) == len(set(exported))
     assert [name for name in exported if not hasattr(dmcensus, name)] == []
     assert set(exported) == imported
+
+
+def test_package_import_loads_no_heavy_modules():
+    # A fresh interpreter that imports dmcensus and loads its catalog must
+    # not load stdlib modules that each cost milliseconds; argparse it needs.
+    # Modules the bare interpreter had already loaded (site's) do not count.
+    code = ("import sys; bare = set(sys.modules); import dmcensus; dmcensus.load_catalog(); "
+            "print(' '.join(sorted(set(sys.modules) - bare)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(dmcensus.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    added = set(done.stdout.split())
+    assert "argparse" in added
+    assert added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "linecache", "typing",
+                    "importlib.resources", "pathlib", "re", "enum"} == set()
 
 
 def test_readme_lists_the_exported_record_types():

@@ -13,7 +13,7 @@ def load_tool():
 
 def test_time_builds_measures_a_small_size():
     tool = load_tool()
-    for kind in ("build", "generator", "oracle"):
+    for kind in ("build", "oracle"):
         record = tool.measure(kind, 3, 2)
         assert (record["kind"], record["p"], record["d"]) == (kind, 3, 2)
         assert (record["classes"], record["exact"]) == (8, True)
@@ -22,10 +22,7 @@ def test_time_builds_measures_a_small_size():
         assert record["peak_rss_mib"] > 0
 
 
-def test_time_builds_measures_startup():
-    record = load_tool().measure_startup(runs=1)
-    assert record["kind"] == "startup"
-    for name in ("bare_s", "import_s", "render_s"):
-        assert len(record[name]) == 1 and record[f"{name}.median"] > 0
-    assert "argparse" in record["modules_added"]
-    assert not {"dataclasses", "inspect"} & set(record["heavy_modules"])
+def test_time_builds_builds_past_the_class_budget(monkeypatch):
+    monkeypatch.setattr("dmcensus.census.CLASS_BUDGET", 0)
+    record = load_tool().measure("build", 3, 2)
+    assert (record["classes"], record["exact"]) == (8, True)
