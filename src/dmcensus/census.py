@@ -7,10 +7,8 @@ Two independent routes produce the census for (p, d).
   labeled matrix, together with the CanonicalResult of the walk that
   accepted it.  That result must be the matrix itself, and gives |Aut|, and
   the class cardinality is computed analytically as
-  (p!/|Aut|) * weight(canonical).  The sum of p!/|Aut| over its classes
-  must equal count_regular_matrices, and the number of classes class_count,
-  two exact counts made without the generator.  The class count is made
-  first, and a census above CLASS_BUDGET classes is refused.
+  (p!/|Aut|) * weight(canonical).  The class count is made first, and a
+  census above CLASS_BUDGET classes is refused.
 * oracle_census counts configuration words per matrix and takes each class
   cardinality as its raw word count, with no counting formula.
   _group_by_canonical consumes the tally, the key of each labeled matrix
@@ -24,6 +22,13 @@ Two independent routes produce the census for (p, d).
   An oracle of more than WORD_BUDGET words, or of more than ORBIT_BUDGET
   relabelings, p! per class, is refused before any word is counted, so
   (9,1) runs and (10,1) does not.
+
+Both routes end in one report check, _finish_report, handed the class
+count their budget check made.  It checks four exact identities, in order:
+every class is d-regular; the classes hold count_regular_matrices(p, d)
+labeled matrices, p!/|Aut| each; there are class_count(p, d) of them; and
+their words total total_configurations(p, d).  The three counts are made
+without the generator or the words.
 
 Neither route validates a labeled matrix.  The generator makes one ArcMatrix
 per canonical matrix, and the grouping one per class, from the least of its
@@ -166,8 +171,16 @@ def _group_by_canonical(tally: dict, p: int) -> dict[ArcMatrix, tuple[int, int]]
     return classes
 
 
-def _finish_report(p: int, d: int, classes: dict[ArcMatrix, tuple[int, int]]) -> CensusReport:
-    """Rank classes (canonical -> (aut_order, cardinality)); check regularity and total."""
+def _finish_report(
+    p: int, d: int, classes: dict[ArcMatrix, tuple[int, int]], expected_classes: int
+) -> CensusReport:
+    """Rank classes (canonical -> (aut_order, cardinality)) into the report.
+
+    The one check of both routes' reports: every class must be d-regular,
+    and then, in this order, the classes must hold, p!/|Aut| each,
+    count_regular_matrices(p, d) labeled matrices, number expected_classes
+    and total total_configurations(p, d) words.
+    """
     entries = []
     for rank, canon in enumerate(sorted(classes), start=1):
         if not is_regular(canon, d):
@@ -175,11 +188,15 @@ def _finish_report(p: int, d: int, classes: dict[ArcMatrix, tuple[int, int]]) ->
         aut_order, cardinality = classes[canon]
         entries.append(CensusEntry(rank, cardinality, canon, aut_order))
     report = CensusReport(p, d, tuple(entries))
-    expected = total_configurations(p, d)
-    if report.total != expected:
-        raise CensusInvariantError(
-            f"census for p={p}, d={d} totals {report.total}, expected {expected}"
-        )
+    labeled = sum(entry.labeled_matrix_count for entry in entries)
+    counts = (
+        (f"holds {labeled} labeled matrices", labeled, count_regular_matrices(p, d)),
+        (f"has {len(entries)} classes", len(entries), expected_classes),
+        (f"totals {report.total}", report.total, total_configurations(p, d)),
+    )
+    for says, count, expected in counts:
+        if count != expected:
+            raise CensusInvariantError(f"census for p={p}, d={d} {says}, expected {expected}")
     return report
 
 
@@ -217,14 +234,14 @@ def build_census(p: int, d: int) -> CensusReport:
     CanonicalResult of the one walk that accepted it; the build searches no
     matrix again.  The walk's least block must be the matrix itself, and
     its |Aut| gives the class p!/|Aut| labeled matrices and cardinality
-    (p!/|Aut|) * weight.  The labeled matrices over all classes must number
-    count_regular_matrices, and the classes class_count, two exact counts
-    made without the generator, so a class it misses and an |Aut| it gets
-    wrong are caught.  Once every check holds, each class's result goes
-    into the canonical_form memo, where the parsers and catalog
-    verification look the canonical matrices up.  The class count is made
-    first, and a census of more than CLASS_BUDGET classes is refused with
-    CountBudgetError.
+    (p!/|Aut|) * weight.  _finish_report then requires the labeled matrices
+    over all classes to number count_regular_matrices, and the classes
+    class_count, two exact counts made without the generator, so a class it
+    misses and an |Aut| it gets wrong are caught.  Once every check holds,
+    each class's result goes into the canonical_form memo, where the parsers
+    and catalog verification look the canonical matrices up.  The class
+    count is made first, and a census of more than CLASS_BUDGET classes is
+    refused with CountBudgetError.
     """
     return _build_census(p, d, _check_census_budget(p, d))
 
@@ -241,24 +258,14 @@ def _build_census(p: int, d: int, expected_classes: int) -> CensusReport:
                 f"its class has {result.canonical}"
             )
         classes[result.canonical] = result
-    labeled_total = sum(math.factorial(p) // r.aut_order for r in classes.values())
-    expected = count_regular_matrices(p, d)
-    if labeled_total != expected:
-        raise CensusInvariantError(
-            f"census for p={p}, d={d} holds {labeled_total} labeled matrices, "
-            f"expected {expected}"
-        )
-    if len(classes) != expected_classes:
-        raise CensusInvariantError(
-            f"census for p={p}, d={d} has {len(classes)} classes, expected {expected_classes}"
-        )
-    for canon, result in classes.items():  # the parsers and verification look them up
-        _remember(canon.entries, result)
     cardinalities = {
         canon: (r.aut_order, math.factorial(p) // r.aut_order * weight(canon, d))
         for canon, r in classes.items()
     }
-    return _finish_report(p, d, cardinalities)
+    report = _finish_report(p, d, cardinalities, expected_classes)
+    for canon, result in classes.items():  # the parsers and verification look them up
+        _remember(canon.entries, result)
+    return report
 
 
 # The most configuration words oracle_census tallies; a larger oracle is
@@ -287,23 +294,26 @@ WORD_BUDGET = 10**7
 ORBIT_BUDGET = 2 * 10**7
 
 
-def _check_oracle_budget(p: int, d: int) -> None:
+def _check_oracle_budget(p: int, d: int) -> int:
     """Refuse, with CountBudgetError, an oracle of more than WORD_BUDGET words
-    or of more than ORBIT_BUDGET relabelings, p! per class."""
+    or of more than ORBIT_BUDGET relabelings, p! per class; returns its class
+    count, class_count(p, d), made for every oracle the word budget admits.
+    The count costs about 2 ms of CPU at (6,2) and at (9,1), the largest
+    sizes the budgets admit (mean of 50 calls, one core of a 2-vCPU host)."""
     check_node_cap(p)
     words = total_configurations(p, d)
     if words > WORD_BUDGET:
         raise CountBudgetError(
             f"oracle for p={p}, d={d} has {words} words, above the budget of {WORD_BUDGET}"
         )
-    if words * math.factorial(p) <= ORBIT_BUDGET:  # no more classes than words
-        return
-    relabelings = class_count(p, d) * math.factorial(p)
+    classes = class_count(p, d)
+    relabelings = classes * math.factorial(p)
     if relabelings > ORBIT_BUDGET:
         raise CountBudgetError(
             f"oracle for p={p}, d={d} lists {relabelings} relabelings, "
             f"above the budget of {ORBIT_BUDGET}"
         )
+    return classes
 
 
 def oracle_census(p: int, d: int) -> CensusReport:
@@ -313,10 +323,14 @@ def oracle_census(p: int, d: int) -> CensusReport:
     that each class's words split evenly over them.  An oracle of more than
     WORD_BUDGET words, or of more than ORBIT_BUDGET relabelings, p! per
     class, is refused with CountBudgetError before any word is counted.
+    The budget check returns the class count, made for every admitted
+    oracle, and _finish_report holds the classes to it and to the labeled
+    count, as it holds build_census's; those formulas check the report, and
+    no cardinality is taken from them.
     """
-    _check_oracle_budget(p, d)
+    expected_classes = _check_oracle_budget(p, d)
     classes = _group_by_canonical(_word_tally(p, d), p)
-    return _finish_report(p, d, classes)
+    return _finish_report(p, d, classes, expected_classes)
 
 
 class CensusDiff(NamedTuple):

@@ -245,14 +245,18 @@ def test_census_refuses_a_degree_past_62_at_every_size(monkeypatch, build, p, d)
         build(p, d)
 
 
-def test_build_census_checks_the_exact_labeled_count(monkeypatch):
-    # 2*I_3 is a class of one labeled matrix; without it every other check
-    # that runs before the total still holds
+@pytest.mark.parametrize("build", [build_census, oracle_census])
+def test_build_census_checks_the_exact_labeled_count(monkeypatch, build):
+    # 2*I_3 is a class of one labeled matrix and one word; without it every
+    # other check that runs before the total still holds, on either route
     doubled = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
+    assert word_to_matrix((1, 1, 2, 2, 3, 3), 3, 2).entries == doubled
     stream = [(rows, result) for rows, result in _canonical_rows(3, 2) if rows != doubled]
+    words = [w for w in enumerate_words(3, 2) if w != (1, 1, 2, 2, 3, 3)]
     monkeypatch.setattr(dmcensus.census, "_canonical_rows", lambda p, d: iter(stream))
+    monkeypatch.setattr(dmcensus.census, "_word_tally", lambda p, d: word_tally(words, p, d))
     with pytest.raises(CensusInvariantError, match="holds 20 labeled matrices, expected 21"):
-        build_census(3, 2)
+        build(3, 2)
 
 
 @pytest.mark.parametrize("p, d", [(p, 2) for p in range(7)] + [(6, 1), (4, 3)])
@@ -260,10 +264,11 @@ def test_census_has_the_burnside_class_count(p, d):
     assert len(build_census(p, d).entries) == class_count(p, d)
 
 
-def test_build_census_checks_the_exact_class_count(monkeypatch):
+@pytest.mark.parametrize("build", [build_census, oracle_census])
+def test_build_census_checks_the_exact_class_count(monkeypatch, build):
     monkeypatch.setattr(dmcensus.census, "class_count", lambda p, d: class_count(p, d) + 1)
     with pytest.raises(CensusInvariantError, match="has 8 classes, expected 9"):
-        build_census(3, 2)
+        build(3, 2)
 
 
 def test_census_checks_its_total(census_d2):
@@ -271,7 +276,7 @@ def test_census_checks_its_total(census_d2):
     canon = census_d2(2).entries[0].canonical
     classes[canon] = (classes[canon][0], classes[canon][1] + 1)
     with pytest.raises(CensusInvariantError, match="totals 7, expected 6"):
-        _finish_report(2, 2, classes)
+        _finish_report(2, 2, classes, class_count(2, 2))
 
 
 def test_oracle_checks_each_class_splits_its_words_evenly(monkeypatch):
@@ -333,7 +338,7 @@ def test_oracle_refuses_too_many_words_up_front(monkeypatch, p, d, words):
 @pytest.mark.parametrize("p, d", [(6, 2), (4, 3), (1, 62)])
 def test_word_budget_admits_sizes_within_it(p, d):
     assert total_configurations(p, d) <= WORD_BUDGET
-    _check_oracle_budget(p, d)
+    assert _check_oracle_budget(p, d) == class_count(p, d)
 
 
 @pytest.mark.parametrize("p, d, relabelings", [(10, 1, 152_409_600)])
@@ -353,7 +358,7 @@ def test_oracle_refuses_too_many_relabelings_up_front(monkeypatch, p, d, relabel
                           (9, 1, 10_886_400)])
 def test_orbit_budget_admits_sizes_within_it(p, d, relabelings):
     assert class_count(p, d) * math.factorial(p) == relabelings <= ORBIT_BUDGET
-    _check_oracle_budget(p, d)
+    assert _check_oracle_budget(p, d) == class_count(p, d)
 
 
 @pytest.mark.parametrize("p", [0, 1])

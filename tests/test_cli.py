@@ -631,10 +631,11 @@ def test_render_refuses_a_rank_past_the_class_count_before_the_build(
 
 @pytest.mark.parametrize(
     "args", [["lookup", "-p", "4", "--monomial", "x12 x12 x21 x21 x34 x34 x43 x43"],
-             ["render", "--class", "4,8"]]
+             ["render", "--class", "4,8"], ["oracle", "-p", "4"]]
 )
 def test_lookup_and_render_count_the_classes_once(monkeypatch, args):
-    # the budget check's count is handed to the build, not made again there
+    # the budget check's count is handed to the build or the oracle, whose
+    # report check holds the classes to it, not made again there
     counted = []
 
     def counting_class_count(p, d):

@@ -71,6 +71,15 @@ def test_package_import_loads_no_heavy_modules():
     assert "argparse" in added
     assert added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "linecache", "typing",
                     "importlib.resources", "pathlib", "re", "enum"} == set()
+    # Without site's preload (-S), typing, pathlib, importlib.resources, re
+    # and enum load too: they come from the package's own imports,
+    # typing.NamedTuple, pathlib.Path, importlib.resources, and csv, which
+    # loads re and enum.  The other heavy names must still stay out.
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    added = set(done.stdout.split())
+    assert "argparse" in added
+    assert added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "linecache"} == set()
 
 
 def test_readme_lists_the_exported_record_types():
