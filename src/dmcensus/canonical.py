@@ -23,7 +23,12 @@ rows.  So the walk follows only the candidates that give the least row k.
 Every node it reaches has rows 0..k-1 equal to the incumbent's, so that row
 is held against the incumbent's row k: a greater row drops the node, and a
 smaller one replaces the incumbent's row k and drops its deeper rows, which
-the walk below fills in again.  The chosen node's row then splits each cell.
+the walk below fills in again.  Each candidate's row is held, as it is
+built, against the least row k so far, at first the incumbent's: a
+candidate whose entries over the placed nodes and loop already exceed that
+row's is dropped before its cells are sorted, and with stop the walk ends
+at the first row below the incumbent's.  The chosen node's row then splits
+each cell.
 
 The search also prunes with the automorphisms it finds (McKay, "Practical
 Graph Isomorphism", 1981; McKay & Piperno, 2014).  Let `first` be the first
@@ -161,11 +166,14 @@ def _least_block(rows: tuple[tuple[int, ...], ...], p: int, stop: bool):
             gens.append(g)
             return next(level for level in range(m) if order[level] != first[level])
         head, rest = cells[0], cells[1:]
-        found = []  # each candidate's least row k
+        least = best[k] if k < len(best) else None  # the least row k so far
+        heads = []  # the candidates that give it, in head order
         for v in head:
             r = rows[v]
             row = [r[u] for u in order]
             row.append(r[v])
+            if least is not None and row > least:
+                continue  # its placed entries and loop already exceed least's
             if len(head) > 1:
                 row += sorted([r[w] for w in head if w != v])
             for cell in rest:
@@ -173,22 +181,22 @@ def _least_block(rows: tuple[tuple[int, ...], ...], p: int, stop: bool):
                     row.append(r[cell[0]])
                 else:
                     row += sorted(map(r.__getitem__, cell))
-            found.append(row)
-        least = min(found) if len(found) > 1 else found[0]
-        if k < len(best) and least != best[k]:
-            if least > best[k]:
-                return p
-            if stop:
-                return -1
+            if least is None or row < least:
+                if stop:
+                    return -1
+                least, heads = row, [v]
+            elif row == least:
+                heads.append(v)
+        if not heads:
+            return p
+        if k < len(best) and least is not best[k]:
             del best[k:]
             first = None
         if k == len(best):
             best.append(least)
         tried: list[int] = []
         known_gens, orbits = 0, None
-        for v, row in zip(head, found):
-            if row != least:
-                continue
+        for v in heads:
             if gens:
                 if known_gens != len(gens):
                     known_gens, orbits = len(gens), _orbit_cells(gens, order, m)

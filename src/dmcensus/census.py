@@ -24,10 +24,11 @@ Two independent routes produce the census for (p, d).
   (9,1) runs and (10,1) does not.
 
 Both routes end in one report check, _finish_report, handed the class
-count their budget check made.  It checks four exact identities, in order:
-every class is d-regular; the classes hold count_regular_matrices(p, d)
-labeled matrices, p!/|Aut| each; there are class_count(p, d) of them; and
-their words total total_configurations(p, d).  The three counts are made
+count _check_census_budget made, for the oracle within its own budget
+check.  It checks four exact identities, in order: every class is
+d-regular; the classes hold count_regular_matrices(p, d) labeled matrices,
+p!/|Aut| each; there are class_count(p, d) of them; and their words total
+total_configurations(p, d).  The three counts are made
 without the generator or the words.
 
 Neither route validates a labeled matrix.  The generator makes one ArcMatrix
@@ -297,16 +298,19 @@ ORBIT_BUDGET = 2 * 10**7
 def _check_oracle_budget(p: int, d: int) -> int:
     """Refuse, with CountBudgetError, an oracle of more than WORD_BUDGET words
     or of more than ORBIT_BUDGET relabelings, p! per class; returns its class
-    count, class_count(p, d), made for every oracle the word budget admits.
-    The count costs about 2 ms of CPU at (6,2) and at (9,1), the largest
-    sizes the budgets admit (mean of 50 calls, one core of a 2-vCPU host)."""
+    count, made for every oracle the word budget admits by the census
+    budget's check, _check_census_budget, whose CLASS_BUDGET refusal so
+    applies too (no size within WORD_BUDGET has more than 397 classes, at
+    (6,2)).  The count costs about 2 ms of CPU at (6,2) and at (9,1), the
+    largest sizes the budgets admit (mean of 50 calls, one core of a 2-vCPU
+    host)."""
     check_node_cap(p)
     words = total_configurations(p, d)
     if words > WORD_BUDGET:
         raise CountBudgetError(
             f"oracle for p={p}, d={d} has {words} words, above the budget of {WORD_BUDGET}"
         )
-    classes = class_count(p, d)
+    classes = _check_census_budget(p, d)
     relabelings = classes * math.factorial(p)
     if relabelings > ORBIT_BUDGET:
         raise CountBudgetError(
@@ -323,12 +327,17 @@ def oracle_census(p: int, d: int) -> CensusReport:
     that each class's words split evenly over them.  An oracle of more than
     WORD_BUDGET words, or of more than ORBIT_BUDGET relabelings, p! per
     class, is refused with CountBudgetError before any word is counted.
-    The budget check returns the class count, made for every admitted
-    oracle, and _finish_report holds the classes to it and to the labeled
-    count, as it holds build_census's; those formulas check the report, and
-    no cardinality is taken from them.
+    The budget check returns the class count, the census budget's count,
+    made for every admitted oracle, and _finish_report holds the classes to
+    it and to the labeled count, as it holds build_census's; those formulas
+    check the report, and no cardinality is taken from them.
     """
-    expected_classes = _check_oracle_budget(p, d)
+    return _oracle_census(p, d, _check_oracle_budget(p, d))
+
+
+def _oracle_census(p: int, d: int, expected_classes: int) -> CensusReport:
+    """oracle_census(p, d) once _check_oracle_budget(p, d) has passed and
+    returned expected_classes, as _build_census is for the build."""
     classes = _group_by_canonical(_word_tally(p, d), p)
     return _finish_report(p, d, classes, expected_classes)
 

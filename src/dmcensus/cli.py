@@ -23,6 +23,7 @@ from .census import (
     _build_census,
     _check_census_budget,
     _check_oracle_budget,
+    _oracle_census,
     _plain_ints,
     _read_csv,
     build_census,
@@ -220,10 +221,11 @@ def _cmd_census(args) -> int:
     return EXIT_OK
 
 
-def _verify_one(p: int, catalog: Catalog) -> tuple[bool, VerificationReport]:
-    """Verify one node count; returns (ok, its catalog verification)."""
-    report = build_census(p, 2)
-    oracle = oracle_census(p, 2)
+def _verify_one(p: int, classes: int, catalog: Catalog) -> tuple[bool, VerificationReport]:
+    """Verify one node count, whose budget check counted its classes; returns
+    (ok, its catalog verification)."""
+    report = _build_census(p, 2, classes)
+    oracle = _oracle_census(p, 2, classes)
     diff = compare_census(report, oracle)
     verification = verify_against_catalog(report, catalog)
     records = catalog.for_p(p)
@@ -273,11 +275,10 @@ def _verify_one(p: int, catalog: Catalog) -> tuple[bool, VerificationReport]:
 def _cmd_verify(args) -> int:
     catalog = load_catalog(args.paper_data)
     node_counts = [args.p] if args.p is not None else list(catalog.node_counts())
-    for p in node_counts:
-        _check_oracle_budget(p, 2)
+    classes = [_check_oracle_budget(p, 2) for p in node_counts]
     results = []
-    for p in node_counts:
-        results.append(_verify_one(p, catalog))
+    for p, count in zip(node_counts, classes):
+        results.append(_verify_one(p, count, catalog))
         print()
     all_ok = all(ok for ok, _ in results)
     records = sum(len(catalog.for_p(p)) for p in node_counts)

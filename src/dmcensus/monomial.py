@@ -10,7 +10,13 @@ Grammar (whitespace = one or more spaces/tabs):
 
 The literal "1" denotes the empty monomial (the null multigraph).  Exponents
 are written by repeating a factor; caret notation is rejected.  Factor lists
-are normalized to sorted order.
+are normalized to sorted order.  Digits are ASCII 0-9 only.
+
+Text is read in two ways that agree.  Well-formed factor text matches one
+pattern, compiled at import, and its node numbers are read in one more
+sweep.  Anything else, the constant "1" included, goes to a scanner that
+reads one character at a time and so can name the first error and its
+offset: a malformed factor, a node named 0, or a number too long for int.
 
 Printing has one rule: "1" for the empty monomial, compact factors (x12)
 when every node name is at most 9, bracketed ones (x[1,12]) otherwise.
@@ -18,6 +24,7 @@ when every node name is at most 9, bracketed ones (x[1,12]) otherwise.
 
 from __future__ import annotations
 
+import re
 from itertools import chain
 from typing import NamedTuple
 
@@ -135,8 +142,8 @@ def _scan_factor(text: str, pos: int) -> tuple[tuple[int, int], int]:
     return (i, j), pos + 2
 
 
-def parse_monomial(text: str) -> Monomial:
-    """Parse monomial text in any mix of compact, braced, and bracketed factors."""
+def _scan_monomial(text: str) -> Monomial:
+    """parse_monomial read one character at a time, naming the first error."""
 
     n = len(text)
 
@@ -167,6 +174,27 @@ def parse_monomial(text: str) -> Monomial:
     return Monomial(tuple(factors))
 
 
+# A node number of at least 1, leading zeros allowed, and the factor forms
+# of the grammar built from it; a node named 0 matches none of them.
+_NODE = "0*[1-9][0-9]*"
+_FACTOR = rf"x(?:[1-9][1-9]|_\{{(?:[1-9][1-9]|{_NODE},{_NODE})\}}|\[{_NODE},{_NODE}\])"
+_WELL_FORMED = re.compile(rf"[ \t]*{_FACTOR}(?:[ \t]+{_FACTOR})*[ \t]*")
+# In well-formed text each factor holds one run "i,j" or "ij" of node digits.
+_NODE_PAIRS = re.compile("([0-9]+),?([0-9]+)")
+
+
+def parse_monomial(text: str) -> Monomial:
+    """Parse monomial text in any mix of compact, braced, and bracketed factors."""
+    if _WELL_FORMED.fullmatch(text):
+        try:
+            factors = [(int(i), int(j)) for i, j in _NODE_PAIRS.findall(text)]
+        except ValueError:  # more digits than the interpreter's int-string limit
+            pass
+        else:  # positive ints, sorted here: Monomial's checks hold
+            return tuple.__new__(Monomial, (tuple(sorted(factors)),))
+    return _scan_monomial(text)
+
+
 # The text of each compact factor, made once: a printed monomial of d factors
 # then joins d references to these, not d new strings.
 _COMPACT = {(i, j): f"x{i}{j}" for i in range(1, 10) for j in range(1, 10)}
@@ -188,16 +216,16 @@ def monomial_to_matrix(mono: Monomial, p: int, d: int) -> ArcMatrix:
     Raises DegreeError carrying the per-node deficit vectors when any row or
     column sum differs from d (which also covers a wrong total factor count).
     """
+    grid = [[0] * p for _ in range(p)]
+    row_deficit = [d] * p
+    col_deficit = [d] * p
     for i, j in mono.factors:
         if i > p or j > p:
             raise ValueError(f"factor ({i},{j}) names a node beyond p={p}")
-    grid = [[0] * p for _ in range(p)]
-    for i, j in mono.factors:
         grid[i - 1][j - 1] += 1
-    matrix = tuple.__new__(ArcMatrix, (tuple(map(tuple, grid)),))  # p x p counts, unchecked
-    row_deficit = [d - s for s in matrix.row_sums()]
-    col_deficit = [d - s for s in matrix.col_sums()]
-    if any(row_deficit) or any(col_deficit) or len(mono.factors) != d * p:
+        row_deficit[i - 1] -= 1
+        col_deficit[j - 1] -= 1
+    if any(row_deficit) or any(col_deficit):
         out = ", ".join(f"node {i + 1}: {v}" for i, v in enumerate(row_deficit) if v)
         into = ", ".join(f"node {j + 1}: {v}" for j, v in enumerate(col_deficit) if v)
         raise DegreeError(
@@ -207,7 +235,7 @@ def monomial_to_matrix(mono: Monomial, p: int, d: int) -> ArcMatrix:
             row_deficit,
             col_deficit,
         )
-    return matrix
+    return tuple.__new__(ArcMatrix, (tuple(map(tuple, grid)),))  # p x p counts, unchecked
 
 
 def matrix_to_monomial(matrix: ArcMatrix) -> Monomial:

@@ -366,14 +366,14 @@ def test_verify_detects_tampered_catalog(tmp_path, capsys):
 
 
 def test_verify_reports_an_oracle_disagreement(monkeypatch, capsys):
-    def tampered(p, d):
+    def tampered(p, d, expected_classes):
         report = oracle_census(p, d)
         first, middle, last = report.entries
         first = first._replace(cardinality=2)
         last = last._replace(canonical=ArcMatrix(((1, 0), (0, 1))))
         return report._replace(entries=(first, middle, last))
 
-    monkeypatch.setattr(dmcensus.cli, "oracle_census", tampered)
+    monkeypatch.setattr(dmcensus.cli, "_oracle_census", tampered)
     assert run_cli(["verify", "-p", "2"]) == 1
     out = capsys.readouterr().out
     assert (
@@ -507,6 +507,16 @@ def test_class_budget_exits_3(capsys):
     assert capsys.readouterr().err.startswith("error: census for p=8, d=2 has 15129 classes")
 
 
+def test_oracle_checks_the_class_budget(monkeypatch, capsys):
+    # the oracle's class count is the census budget's, refusals included
+    monkeypatch.setattr(dmcensus.census, "CLASS_BUDGET", 0)
+    monkeypatch.setattr(dmcensus.census, "_word_tally", None)  # refused before any tally
+    assert run_cli(["oracle", "-p", "3"]) == 3
+    assert capsys.readouterr().err == (
+        "error: census for p=3, d=2 has 8 classes, above the budget of 0\n"
+    )
+
+
 def test_count_budget_exits_3(capsys):
     assert run_cli(["oracle", "-p", "10", "-d", "3"]) == 3
     assert "exceeds the exact-count budget" in capsys.readouterr().err
@@ -514,7 +524,7 @@ def test_count_budget_exits_3(capsys):
 
 @pytest.mark.parametrize("argv", [["oracle", "-p", "7"], ["verify", "-p", "7"]])
 def test_word_budget_exits_3_before_any_output(monkeypatch, argv, capsys):
-    monkeypatch.setattr(dmcensus.cli, "build_census", None)  # refused before any census runs
+    monkeypatch.setattr(dmcensus.cli, "_build_census", None)  # refused before any census runs
     monkeypatch.setattr(dmcensus.census, "_word_tally", None)
     assert run_cli(argv) == 3
     out, err = capsys.readouterr()
@@ -534,7 +544,7 @@ def test_orbit_budget_exits_3_before_any_output(monkeypatch, capsys):
 def test_verify_checks_the_orbit_budget_before_any_output(monkeypatch, capsys):
     # at d = 2 the word budget refuses first, so lower the orbit budget below (5,2)'s
     monkeypatch.setattr(dmcensus.census, "ORBIT_BUDGET", 10_000)
-    monkeypatch.setattr(dmcensus.cli, "build_census", None)  # refused before any census runs
+    monkeypatch.setattr(dmcensus.cli, "_build_census", None)  # refused before any census runs
     assert run_cli(["verify", "-p", "5"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
@@ -631,7 +641,7 @@ def test_render_refuses_a_rank_past_the_class_count_before_the_build(
 
 @pytest.mark.parametrize(
     "args", [["lookup", "-p", "4", "--monomial", "x12 x12 x21 x21 x34 x34 x43 x43"],
-             ["render", "--class", "4,8"], ["oracle", "-p", "4"]]
+             ["render", "--class", "4,8"], ["oracle", "-p", "4"], ["verify", "-p", "4"]]
 )
 def test_lookup_and_render_count_the_classes_once(monkeypatch, args):
     # the budget check's count is handed to the build or the oracle, whose

@@ -16,6 +16,7 @@ from dmcensus import (
     parse_monomial,
     print_monomial,
 )
+from dmcensus import monomial
 
 
 def test_parse_compact():
@@ -46,6 +47,11 @@ def test_parse_mixed_forms():
     )
 
 
+def test_parse_reads_leading_zeros():
+    assert parse_monomial("x[0001,2]").factors == ((1, 2),)
+    assert parse_monomial("x_{0001,2}").factors == ((1, 2),)
+
+
 def test_parse_normalizes_order():
     assert parse_monomial("x21 x11") == parse_monomial("x11 x21")
 
@@ -70,6 +76,12 @@ def test_parse_normalizes_order():
         ("x_{0,1}", 3),
         ("x11 $", 4),
         ("x11\nx12", 3),
+        ("x١٢", 1),  # digits of other scripts are not node numbers
+        ("x１１", 1),
+        ("x[١,2]", 2),
+        ("x[0,1]", 2),
+        ("x_{10}", 4),
+        ("x[1,0]", 4),
         pytest.param("x[" + "9" * 5000 + ",1]", 2, id="5000-digit-node"),
     ],
 )
@@ -102,6 +114,25 @@ def test_parse_monomial_fuzz(text):
         assert 0 <= exc.offset <= len(text)
         return
     assert parse_monomial(print_monomial(mono)) == mono
+
+
+def _read(parse, text):
+    try:
+        return parse(text)
+    except MonomialParseError as exc:
+        return exc.offset, str(exc)
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(st.one_of(
+    st.text(),
+    st.lists(FACTOR, min_size=1, max_size=6).map(" ".join),
+    st.lists(st.one_of(FACTOR, TOKENS, st.sampled_from(["١", "１", "0001"])), max_size=8)
+    .map("".join),
+))
+def test_parse_agrees_with_the_scanner(text):
+    # the pattern reads well-formed text; the scanner names every error
+    assert _read(parse_monomial, text) == _read(monomial._scan_monomial, text)
 
 
 def test_print_compact():
@@ -177,8 +208,10 @@ def test_monomial_to_matrix_excess_degree():
 
 
 def test_monomial_to_matrix_node_out_of_range():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as excinfo:
         monomial_to_matrix(parse_monomial("x14 x11"), 3, 2)
+    assert type(excinfo.value) is ValueError  # not its subclass DegreeError
+    assert str(excinfo.value) == "factor (1,4) names a node beyond p=3"
 
 
 def test_matrix_to_monomial_examples():
