@@ -100,13 +100,13 @@ from typing import NamedTuple
 from .core import ArcMatrix, CensusInvariantError, check_node_cap
 
 # Memo capacity.  Measured traffic is a few hundred distinct inputs per job
-# (see above).  With the census built by orderly generation and the
-# refinement walk the memo still pays: a cold census-d2 bench round took
-# 0.058-0.061 s scaled with it and 0.078-0.080 s with a size of 0, which
-# stores nothing (4 alternating pairs of 8 s runs, seeds 1301-1304, one
-# pinned core of a 2-vCPU host).  The size is headroom for callers that
-# canonicalize many labeled matrices themselves; the bound keeps memory flat
-# beyond it.
+# (see above).  One cold bench round (seed 1) makes these calls, as hits on
+# results the build stored / hits on results a search stored / misses, each
+# a search: census-d2 277 / 8 / 207, symmetric 23 / 6 / 22 and oracle-d3
+# 247 / 0 / 107.  So most calls are the parsers and catalog verification
+# finding the classes the build just made.  The size is headroom for callers
+# that canonicalize many labeled matrices themselves; the bound keeps memory
+# flat beyond it.
 _MEMO_SIZE = 2**15
 
 
@@ -250,7 +250,7 @@ _memo: dict[tuple[tuple[int, ...], ...], CanonicalResult] = {}
 
 def _remember(rows: tuple[tuple[int, ...], ...], result: CanonicalResult) -> None:
     """Memoize the result for rows, dropping the oldest entry when the memo is
-    full; a size of 0 stores nothing.
+    full.
 
     The witness must be a permutation of 0..p-1 that carries rows onto the
     canonical form, canon[w[i]][w[j]] == rows[i][j]; a result that fails
@@ -266,10 +266,9 @@ def _remember(rows: tuple[tuple[int, ...], ...], result: CanonicalResult) -> Non
         raise CensusInvariantError(
             f"witness {images} does not carry {ArcMatrix(rows)} onto {result.canonical}"
         )
-    if _MEMO_SIZE:
-        if rows not in _memo and len(_memo) >= _MEMO_SIZE:
-            del _memo[next(iter(_memo))]
-        _memo[rows] = result
+    if rows not in _memo and len(_memo) >= _MEMO_SIZE:
+        del _memo[next(iter(_memo))]
+    _memo[rows] = result
 
 
 def canonical_form(matrix: ArcMatrix) -> CanonicalResult:
@@ -288,5 +287,9 @@ def canonical_form(matrix: ArcMatrix) -> CanonicalResult:
 
 
 def clear_cache() -> None:
-    """Drop memoized canonical forms (useful for benchmarking from cold)."""
+    """Drop memoized canonical forms and cached class counts (useful for
+    benchmarking from cold)."""
+    from .generate import class_count  # generate imports this module
+
     _memo.clear()
+    class_count.cache_clear()

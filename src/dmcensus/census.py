@@ -23,12 +23,11 @@ Two independent routes produce the census for (p, d).
   relabelings, p! per class, is refused before any word is counted, so
   (9,1) runs and (10,1) does not.
 
-Both routes end in one report check, _finish_report, handed the class
-count _check_census_budget made, for the oracle within its own budget
-check.  It checks four exact identities, in order: every class is
-d-regular; the classes hold count_regular_matrices(p, d) labeled matrices,
-p!/|Aut| each; there are class_count(p, d) of them; and their words total
-total_configurations(p, d).  The three counts are made
+Both routes end in one report check, _finish_report.  It checks four
+exact identities, in order: every class is d-regular; the classes hold
+count_regular_matrices(p, d) labeled matrices, p!/|Aut| each; there are
+class_count(p, d) of them, the count the budget check made and cached; and
+their words total total_configurations(p, d).  The three counts are made
 without the generator or the words.
 
 Neither route validates a labeled matrix.  The generator makes one ArcMatrix
@@ -172,14 +171,12 @@ def _group_by_canonical(tally: dict, p: int) -> dict[ArcMatrix, tuple[int, int]]
     return classes
 
 
-def _finish_report(
-    p: int, d: int, classes: dict[ArcMatrix, tuple[int, int]], expected_classes: int
-) -> CensusReport:
+def _finish_report(p: int, d: int, classes: dict[ArcMatrix, tuple[int, int]]) -> CensusReport:
     """Rank classes (canonical -> (aut_order, cardinality)) into the report.
 
     The one check of both routes' reports: every class must be d-regular,
     and then, in this order, the classes must hold, p!/|Aut| each,
-    count_regular_matrices(p, d) labeled matrices, number expected_classes
+    count_regular_matrices(p, d) labeled matrices, number class_count(p, d)
     and total total_configurations(p, d) words.
     """
     entries = []
@@ -192,7 +189,7 @@ def _finish_report(
     labeled = sum(entry.labeled_matrix_count for entry in entries)
     counts = (
         (f"holds {labeled} labeled matrices", labeled, count_regular_matrices(p, d)),
-        (f"has {len(entries)} classes", len(entries), expected_classes),
+        (f"has {len(entries)} classes", len(entries), class_count(p, d)),
         (f"totals {report.total}", report.total, total_configurations(p, d)),
     )
     for says, count, expected in counts:
@@ -216,15 +213,14 @@ def _finish_report(
 CLASS_BUDGET = 10_000
 
 
-def _check_census_budget(p: int, d: int) -> int:
+def _check_census_budget(p: int, d: int) -> None:
     """Refuse, with CountBudgetError, a census of more than CLASS_BUDGET
-    classes; returns its class count, class_count(p, d), whose refusals apply."""
+    classes, counted by class_count(p, d), whose refusals apply."""
     classes = class_count(p, d)
     if classes > CLASS_BUDGET:
         raise CountBudgetError(
             f"census for p={p}, d={d} has {classes} classes, above the budget of {CLASS_BUDGET}"
         )
-    return classes
 
 
 def build_census(p: int, d: int) -> CensusReport:
@@ -244,13 +240,13 @@ def build_census(p: int, d: int) -> CensusReport:
     count is made first, and a census of more than CLASS_BUDGET classes is
     refused with CountBudgetError.
     """
-    return _build_census(p, d, _check_census_budget(p, d))
+    _check_census_budget(p, d)
+    return _build_census(p, d)
 
 
-def _build_census(p: int, d: int, expected_classes: int) -> CensusReport:
-    """build_census(p, d) once _check_census_budget(p, d) has passed and
-    returned expected_classes, so that a caller which needs the class count
-    first makes it once."""
+def _build_census(p: int, d: int) -> CensusReport:
+    """build_census(p, d) without its budget check, so that sizes above
+    CLASS_BUDGET can be timed (tools/time_builds.py)."""
     classes: dict[ArcMatrix, CanonicalResult] = {}
     for rows, result in _canonical_rows(p, d):
         if result.canonical.entries != rows:
@@ -263,7 +259,7 @@ def _build_census(p: int, d: int, expected_classes: int) -> CensusReport:
         canon: (r.aut_order, math.factorial(p) // r.aut_order * weight(canon, d))
         for canon, r in classes.items()
     }
-    report = _finish_report(p, d, cardinalities, expected_classes)
+    report = _finish_report(p, d, cardinalities)
     for canon, result in classes.items():  # the parsers and verification look them up
         _remember(canon.entries, result)
     return report
@@ -295,29 +291,28 @@ WORD_BUDGET = 10**7
 ORBIT_BUDGET = 2 * 10**7
 
 
-def _check_oracle_budget(p: int, d: int) -> int:
+def _check_oracle_budget(p: int, d: int) -> None:
     """Refuse, with CountBudgetError, an oracle of more than WORD_BUDGET words
-    or of more than ORBIT_BUDGET relabelings, p! per class; returns its class
-    count, made for every oracle the word budget admits by the census
-    budget's check, _check_census_budget, whose CLASS_BUDGET refusal so
-    applies too (no size within WORD_BUDGET has more than 397 classes, at
-    (6,2)).  The count costs about 2 ms of CPU at (6,2) and at (9,1), the
-    largest sizes the budgets admit (mean of 50 calls, one core of a 2-vCPU
-    host)."""
+    or of more than ORBIT_BUDGET relabelings, p! per class.  The class count
+    is made for every oracle the word budget admits by the census budget's
+    check, _check_census_budget, whose CLASS_BUDGET refusal so applies too
+    (no size within WORD_BUDGET has more than 397 classes, at (6,2)).  The
+    count costs about 2 ms of CPU at (6,2) and at (9,1), the largest sizes
+    the budgets admit (mean of 50 calls, one core of a 2-vCPU host), and is
+    made once per size: class_count caches it."""
     check_node_cap(p)
     words = total_configurations(p, d)
     if words > WORD_BUDGET:
         raise CountBudgetError(
             f"oracle for p={p}, d={d} has {words} words, above the budget of {WORD_BUDGET}"
         )
-    classes = _check_census_budget(p, d)
-    relabelings = classes * math.factorial(p)
+    _check_census_budget(p, d)
+    relabelings = class_count(p, d) * math.factorial(p)
     if relabelings > ORBIT_BUDGET:
         raise CountBudgetError(
             f"oracle for p={p}, d={d} lists {relabelings} relabelings, "
             f"above the budget of {ORBIT_BUDGET}"
         )
-    return classes
 
 
 def oracle_census(p: int, d: int) -> CensusReport:
@@ -327,19 +322,12 @@ def oracle_census(p: int, d: int) -> CensusReport:
     that each class's words split evenly over them.  An oracle of more than
     WORD_BUDGET words, or of more than ORBIT_BUDGET relabelings, p! per
     class, is refused with CountBudgetError before any word is counted.
-    The budget check returns the class count, the census budget's count,
-    made for every admitted oracle, and _finish_report holds the classes to
-    it and to the labeled count, as it holds build_census's; those formulas
-    check the report, and no cardinality is taken from them.
+    _finish_report holds the classes to the class count and the labeled
+    count, as it holds build_census's; those formulas check the report, and
+    no cardinality is taken from them.
     """
-    return _oracle_census(p, d, _check_oracle_budget(p, d))
-
-
-def _oracle_census(p: int, d: int, expected_classes: int) -> CensusReport:
-    """oracle_census(p, d) once _check_oracle_budget(p, d) has passed and
-    returned expected_classes, as _build_census is for the build."""
-    classes = _group_by_canonical(_word_tally(p, d), p)
-    return _finish_report(p, d, classes, expected_classes)
+    _check_oracle_budget(p, d)
+    return _finish_report(p, d, _group_by_canonical(_word_tally(p, d), p))
 
 
 class CensusDiff(NamedTuple):

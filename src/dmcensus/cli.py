@@ -20,10 +20,8 @@ from .census import (
     CensusEntry,
     CensusReport,
     VerificationReport,
-    _build_census,
     _check_census_budget,
     _check_oracle_budget,
-    _oracle_census,
     _plain_ints,
     _read_csv,
     build_census,
@@ -41,6 +39,7 @@ from .core import (
     total_configurations,
     weight,
 )
+from .generate import class_count
 from .monomial import monomial_to_matrix, parse_monomial
 
 EXIT_OK = 0
@@ -72,10 +71,7 @@ def _catalog_rank_map(report: CensusReport) -> dict[int, int]:
     """Computed rank -> catalog rank, via the bundled catalog (empty off-catalog)."""
     if report.d != 2:
         return {}
-    catalog = load_catalog()
-    if not catalog.for_p(report.p):
-        return {}
-    verification = verify_against_catalog(report, catalog)
+    verification = verify_against_catalog(report, load_catalog())
     return {c.entry.rank: c.record.rank for c in verification.matched + verification.corrected}
 
 
@@ -221,11 +217,10 @@ def _cmd_census(args) -> int:
     return EXIT_OK
 
 
-def _verify_one(p: int, classes: int, catalog: Catalog) -> tuple[bool, VerificationReport]:
-    """Verify one node count, whose budget check counted its classes; returns
-    (ok, its catalog verification)."""
-    report = _build_census(p, 2, classes)
-    oracle = _oracle_census(p, 2, classes)
+def _verify_one(p: int, catalog: Catalog) -> tuple[bool, VerificationReport]:
+    """Verify one node count; returns (ok, its catalog verification)."""
+    report = build_census(p, 2)
+    oracle = oracle_census(p, 2)
     diff = compare_census(report, oracle)
     verification = verify_against_catalog(report, catalog)
     records = catalog.for_p(p)
@@ -275,10 +270,11 @@ def _verify_one(p: int, classes: int, catalog: Catalog) -> tuple[bool, Verificat
 def _cmd_verify(args) -> int:
     catalog = load_catalog(args.paper_data)
     node_counts = [args.p] if args.p is not None else list(catalog.node_counts())
-    classes = [_check_oracle_budget(p, 2) for p in node_counts]
+    for p in node_counts:  # refuse any size before printing one
+        _check_oracle_budget(p, 2)
     results = []
-    for p, count in zip(node_counts, classes):
-        results.append(_verify_one(p, count, catalog))
+    for p in node_counts:
+        results.append(_verify_one(p, catalog))
         print()
     all_ok = all(ok for ok, _ in results)
     records = sum(len(catalog.for_p(p)) for p in node_counts)
@@ -294,9 +290,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_lookup(args) -> int:
     mono = parse_monomial(args.monomial)
-    classes = _check_census_budget(args.p, args.d)
+    _check_census_budget(args.p, args.d)
     monomial_to_matrix(mono, args.p, args.d)  # its degrees must fit before the build
-    report = _build_census(args.p, args.d, classes)
+    report = build_census(args.p, args.d)
     entry = class_lookup(report, mono)
     print(f"class {report.p},{entry.rank} cardinality {entry.cardinality}")
     return EXIT_OK
@@ -307,12 +303,13 @@ def _cmd_render(args) -> int:
         p, rank = _plain_ints(args.class_id.split(","))
     except ValueError:
         raise ValueError(f"--class expects '<p>,<rank>', got {args.class_id!r}") from None
-    classes = _check_census_budget(p, args.d)
+    _check_census_budget(p, args.d)
+    classes = class_count(p, args.d)
     if not 1 <= rank <= classes:
         raise ValueError(
             f"rank {rank} out of range; census for p={p}, d={args.d} has {classes} classes"
         )
-    report = _build_census(p, args.d, classes)
+    report = build_census(p, args.d)
     sys.stdout.write(emit_dot(report.entries[rank - 1].canonical))
     return EXIT_OK
 

@@ -188,13 +188,17 @@ def _partitions(n: int, most: int) -> Iterator[tuple[int, ...]]:
             yield (*rest, part)
 
 
+@cache
 def class_count(p: int, d: int) -> int:
     """The number of isomorphism classes of p x p d-regular matrices.
 
     Burnside's lemma over the cycle types λ of the relabelings:
     (1/p!) * sum of |C_λ| * Fix(λ), where the class C_λ holds
     p! / prod(k^m_k * m_k!) permutations for m_k cycles of length k.  The
-    stream's refusals apply.
+    stream's refusals apply.  Each count is cached, so a command that checks
+    a budget and then a report counts once; a refusal raises and caches
+    nothing, so the cache holds only admitted sizes, 199 ints at most, and
+    canonical.clear_cache() empties it.
     """
     check_node_cap(p)
     total_configurations(p, d)

@@ -301,16 +301,17 @@ def test_memo_is_bounded(monkeypatch):
     assert _MEMO_SIZE >= sum(1 for p in range(6) for _ in enumerate_regular_matrices(p, 2))
 
 
-def test_memo_of_size_zero_stores_nothing(monkeypatch):
+def test_memo_of_size_one_changes_no_result(monkeypatch):
+    # each store evicts the one before it, so nearly every call searches
     clear_cache()
     matrices = list(enumerate_regular_matrices(4, 1))
     results = [canonical_form(m) for m in matrices]
     report = build_census(4, 2)
     clear_cache()
-    monkeypatch.setattr(dmcensus.canonical, "_MEMO_SIZE", 0)
+    monkeypatch.setattr(dmcensus.canonical, "_MEMO_SIZE", 1)
     assert [canonical_form(m) for m in matrices] == results
     assert build_census(4, 2) == report
-    assert not _memo
+    assert list(_memo) == [report.entries[-1].canonical.entries]
 
 
 def wrong_witness(m):

@@ -17,6 +17,7 @@ import dmcensus
 import dmcensus.census
 import dmcensus.cli
 from dmcensus import ArcMatrix, build_census, emit_dot, oracle_census, run_cli, weight
+from dmcensus.canonical import clear_cache
 from dmcensus.cli import (
     parse_census_csv,
     parse_census_jsonl,
@@ -91,7 +92,9 @@ def test_csv_round_trip(census_d2):
 def test_jsonl_round_trip(census_d2):
     for p in range(5):
         report = census_d2(p)
-        assert parse_census_jsonl(render_census_jsonl(report, {})) == report
+        text = render_census_jsonl(report, {})
+        assert parse_census_jsonl(text) == report
+        assert parse_census_jsonl(text.replace("\n", "\n \n")) == report  # blank lines
 
 
 @pytest.mark.parametrize("p, d", [(1, 62), (2, 33), (10, 1)])
@@ -366,14 +369,14 @@ def test_verify_detects_tampered_catalog(tmp_path, capsys):
 
 
 def test_verify_reports_an_oracle_disagreement(monkeypatch, capsys):
-    def tampered(p, d, expected_classes):
+    def tampered(p, d):
         report = oracle_census(p, d)
         first, middle, last = report.entries
         first = first._replace(cardinality=2)
         last = last._replace(canonical=ArcMatrix(((1, 0), (0, 1))))
         return report._replace(entries=(first, middle, last))
 
-    monkeypatch.setattr(dmcensus.cli, "_oracle_census", tampered)
+    monkeypatch.setattr(dmcensus.cli, "oracle_census", tampered)
     assert run_cli(["verify", "-p", "2"]) == 1
     out = capsys.readouterr().out
     assert (
@@ -439,6 +442,12 @@ def test_verify_reports_a_class_no_record_claims(tmp_path, capsys):
     assert "matched 2, corrected 0, mismatched 0, unmatched 0\n" in out
     assert "  computed class 2,2 (cardinality 4) has no catalog record\n" in out
     assert "verification: FAIL" in out
+    # a size the catalog has no records for skips the catalog and passes
+    assert run_cli(["verify", "-p", "3", "--paper-data", str(short)]) == 0
+    out = capsys.readouterr().out
+    assert "oracle cross-check: OK (90 words)\ncatalog: no records for p=3 (skipped)\n" in out
+    assert out.endswith("summary: 0 catalog records; 0 matched directly, 0 corrected\n"
+                        "verification: PASS\n")
 
 
 def test_verify_reads_a_catalog_that_starts_with_a_byte_order_mark(tmp_path, capsys):
@@ -524,7 +533,7 @@ def test_count_budget_exits_3(capsys):
 
 @pytest.mark.parametrize("argv", [["oracle", "-p", "7"], ["verify", "-p", "7"]])
 def test_word_budget_exits_3_before_any_output(monkeypatch, argv, capsys):
-    monkeypatch.setattr(dmcensus.cli, "_build_census", None)  # refused before any census runs
+    monkeypatch.setattr(dmcensus.cli, "build_census", None)  # refused before any census runs
     monkeypatch.setattr(dmcensus.census, "_word_tally", None)
     assert run_cli(argv) == 3
     out, err = capsys.readouterr()
@@ -544,7 +553,7 @@ def test_orbit_budget_exits_3_before_any_output(monkeypatch, capsys):
 def test_verify_checks_the_orbit_budget_before_any_output(monkeypatch, capsys):
     # at d = 2 the word budget refuses first, so lower the orbit budget below (5,2)'s
     monkeypatch.setattr(dmcensus.census, "ORBIT_BUDGET", 10_000)
-    monkeypatch.setattr(dmcensus.cli, "_build_census", None)  # refused before any census runs
+    monkeypatch.setattr(dmcensus.cli, "build_census", None)  # refused before any census runs
     assert run_cli(["verify", "-p", "5"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
@@ -641,20 +650,14 @@ def test_render_refuses_a_rank_past_the_class_count_before_the_build(
 
 @pytest.mark.parametrize(
     "args", [["lookup", "-p", "4", "--monomial", "x12 x12 x21 x21 x34 x34 x43 x43"],
-             ["render", "--class", "4,8"], ["oracle", "-p", "4"], ["verify", "-p", "4"]]
+             ["render", "--class", "4,8"], ["oracle", "-p", "4"], ["verify", "-p", "4"],
+             ["census", "-p", "4"]]
 )
-def test_lookup_and_render_count_the_classes_once(monkeypatch, args):
-    # the budget check's count is handed to the build or the oracle, whose
-    # report check holds the classes to it, not made again there
-    counted = []
-
-    def counting_class_count(p, d):
-        counted.append((p, d))
-        return class_count(p, d)
-
-    monkeypatch.setattr(dmcensus.census, "class_count", counting_class_count)
+def test_lookup_and_render_count_the_classes_once(args):
+    # the budget check's count is cached, and the report check reads it there
+    clear_cache()
     assert run_cli(args) == 0
-    assert counted == [(4, 2)]
+    assert class_count.cache_info().misses == 1
 
 
 def test_lookup_checks_the_degrees_before_the_build(monkeypatch, capsys):

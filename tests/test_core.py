@@ -24,6 +24,7 @@ def test_arc_matrix_shape_and_entries():
     assert m.row_sums() == (2, 2)
     assert m.col_sums() == (2, 2)
     assert ArcMatrix(()).p == 0
+    assert (str(m), str(ArcMatrix(()))) == ("1 1; 1 1", "[]")
     with pytest.raises(DimensionError):
         ArcMatrix(((1, 1), (1,)))
     with pytest.raises(ValueError):

@@ -110,3 +110,22 @@ def test_readme_exit_code_examples_exit_3(capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: "), command
         assert err.count("\n") == 1 and err.endswith("\n") and len(err) < 200, command
+
+
+def test_a_failing_hypothesis_test_is_reported(tmp_path):
+    # Under the suite's warnings-as-errors, a warning raised while hypothesis
+    # reports a failure would end the run with INTERNALERROR instead.
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_small(n):\n"
+        "    assert n < 10\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(README.parent / "pyproject.toml"),
+         "--rootdir", str(tmp_path), "-p", "no:cacheprovider", "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert "Falsifying example" in done.stdout
+    assert "INTERNALERROR" not in done.stdout + done.stderr
+    assert done.returncode == 1

@@ -66,21 +66,17 @@ def measure(kind: str, p: int, d: int) -> dict:
     peak RSS as the timed work ends."""
     from dmcensus import compare_census, oracle_census
     from dmcensus.canonical import clear_cache
-    from dmcensus.census import _build_census
-    from dmcensus.generate import class_count
+    from dmcensus.census import _build_census  # raises if a count is off
 
-    def build():  # raises CensusInvariantError if a count is off
-        return _build_census(p, d, class_count(p, d))
-
-    work = build if kind == "build" else lambda: oracle_census(p, d)
+    work = _build_census if kind == "build" else oracle_census
     done = []
     clear_cache()
     start = time.process_time()
-    scaled_s = timed(lambda: done.append(work()))[1]
+    scaled_s = timed(lambda: done.append(work(p, d)))[1]
     cpu_s = time.process_time() - start
     report, = done
     peak_rss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    exact = kind == "build" or not compare_census(report, build())
+    exact = kind == "build" or not compare_census(report, _build_census(p, d))
     return {"kind": kind, "p": p, "d": d, "classes": len(report.entries), "exact": exact,
             "cpu_s": cpu_s, "scaled_s": scaled_s, "peak_rss_mib": peak_rss_mib}
 
