@@ -287,9 +287,10 @@ def canonical_form(matrix: ArcMatrix) -> CanonicalResult:
 
 
 def clear_cache() -> None:
-    """Drop memoized canonical forms and cached class counts (useful for
-    benchmarking from cold)."""
-    from .generate import class_count  # generate imports this module
+    """Drop memoized canonical forms and cached class and labeled counts
+    (useful for benchmarking from cold)."""
+    from .generate import class_count, count_regular_matrices  # generate imports this module
 
     _memo.clear()
     class_count.cache_clear()
+    count_regular_matrices.cache_clear()

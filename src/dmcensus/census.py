@@ -23,20 +23,23 @@ Two independent routes produce the census for (p, d).
   relabelings, p! per class, is refused before any word is counted, so
   (9,1) runs and (10,1) does not.
 
-Both routes end in one report check, _finish_report.  It checks four
-exact identities, in order: every class is d-regular; the classes hold
-count_regular_matrices(p, d) labeled matrices, p!/|Aut| each; there are
-class_count(p, d) of them, the count the budget check made and cached; and
-their words total total_configurations(p, d).  The three counts are made
-without the generator or the words.
+Every report ends in one report check, _finish_report, the only maker of
+a CensusEntry or a CensusReport: the reports both routes make, and those
+the CLI's record parser reads back.  It checks three exact identities, in
+order: the classes hold count_regular_matrices(p, d) labeled matrices,
+p!/|Aut| each; there are class_count(p, d) of them, the count the budget
+check made and cached; and their words total total_configurations(p, d).
+The three counts are made without the generator or the words.
 
 Neither route validates a labeled matrix.  The generator makes one ArcMatrix
 per canonical matrix, and the grouping one per class, from the least of its
 relabelings.  The oracle counts every word under a key of its matrix,
 unchecked, without listing the words.  In place of a per-word check,
-_finish_report requires each class's canonical matrix to be d-regular: a
-word with a wrong multiset projects to a non-regular matrix, so its class
-fails this check (or the orbit-stabilizer one).
+_group_by_canonical requires each class's canonical matrix to be d-regular:
+a word with a wrong multiset projects to a non-regular matrix, so its class
+fails this check (or the orbit-stabilizer one).  The build's classes are
+checked by core.weight and the parser's by monomial_to_matrix, where they
+enter, so the report check does not check regularity again.
 
 A CensusEntry stores its rank, cardinality, canonical matrix and |Aut|, and
 takes p from the report that holds it; every other count is derived, its
@@ -95,7 +98,7 @@ class CensusEntry(NamedTuple):
     The cardinality divides exactly over the p!/|Aut| labeled matrices:
     build_census makes it (p!/|Aut|) * core.weight, the oracle's grouping
     refuses words that do not split evenly, and the CLI's record parser
-    checks it against core.weight before it makes the entry.
+    checks it against core.weight before _finish_report makes the entry.
     """
 
     rank: int
@@ -134,9 +137,9 @@ class CensusReport(NamedTuple):
         return sum(entry.cardinality for entry in self.entries)
 
 
-def _group_by_canonical(tally: dict, p: int) -> dict[ArcMatrix, tuple[int, int]]:
+def _group_by_canonical(tally: dict, p: int, d: int) -> dict[ArcMatrix, tuple[int, int]]:
     """Group the oracle's tally of p-node keys, key -> count, into
-    canonical -> (aut_order, count).
+    canonical -> (aut_order, count), every class d-regular.
 
     Consumes tally: each class pops its labeled matrices as it forms.  The
     orbit of the first key of a class still in the tally, in the tally's
@@ -146,7 +149,9 @@ def _group_by_canonical(tally: dict, p: int) -> dict[ArcMatrix, tuple[int, int]]
     (orbit-stabilizer), so the oracle shares no code with canonical
     search.  Each key is popped once and must still be in the tally, so
     the class holds all the p!/|Aut| labeled matrices callers derive
-    instead of counting, and its words must split evenly over them.
+    instead of counting, and its words must split evenly over them.  Then
+    the canonical matrix must be d-regular, the oracle's one regularity
+    check: its keys enter unchecked.
     """
     orbit_of = _orbit_lister(p)
     classes: dict[ArcMatrix, tuple[int, int]] = {}
@@ -167,6 +172,8 @@ def _group_by_canonical(tally: dict, p: int) -> dict[ArcMatrix, tuple[int, int]]
                 f"class of {canon}: {words} words over {len(orbit)} matrices "
                 "is not an integer per-matrix count"
             )
+        if not is_regular(canon, d):
+            raise CensusInvariantError(f"class of {canon} is not {d}-regular")
         classes[canon] = (math.factorial(p) // len(orbit), words)
     return classes
 
@@ -174,15 +181,15 @@ def _group_by_canonical(tally: dict, p: int) -> dict[ArcMatrix, tuple[int, int]]
 def _finish_report(p: int, d: int, classes: dict[ArcMatrix, tuple[int, int]]) -> CensusReport:
     """Rank classes (canonical -> (aut_order, cardinality)) into the report.
 
-    The one check of both routes' reports: every class must be d-regular,
-    and then, in this order, the classes must hold, p!/|Aut| each,
-    count_regular_matrices(p, d) labeled matrices, number class_count(p, d)
-    and total total_configurations(p, d) words.
+    The one maker and the one check of every report, built, counted by the
+    oracle or read back by the CLI's record parser: in this order, the
+    classes must hold, p!/|Aut| each, count_regular_matrices(p, d) labeled
+    matrices, number class_count(p, d) and total total_configurations(p, d)
+    words.  Each class must be d-regular already, as checked where its
+    matrix entered.
     """
     entries = []
     for rank, canon in enumerate(sorted(classes), start=1):
-        if not is_regular(canon, d):
-            raise CensusInvariantError(f"class of {canon} is not {d}-regular")
         aut_order, cardinality = classes[canon]
         entries.append(CensusEntry(rank, cardinality, canon, aut_order))
     report = CensusReport(p, d, tuple(entries))
@@ -318,16 +325,17 @@ def _check_oracle_budget(p: int, d: int) -> None:
 def oracle_census(p: int, d: int) -> CensusReport:
     """Census rebuilt by brute force: raw word tallies, no counting formulas.
 
-    The grouping checks that every class got all its labeled matrices and
-    that each class's words split evenly over them.  An oracle of more than
-    WORD_BUDGET words, or of more than ORBIT_BUDGET relabelings, p! per
-    class, is refused with CountBudgetError before any word is counted.
+    The grouping checks that every class got all its labeled matrices, that
+    each class's words split evenly over them and that it is d-regular.  An
+    oracle of more than WORD_BUDGET words, or of more than ORBIT_BUDGET
+    relabelings, p! per class, is refused with CountBudgetError before any
+    word is counted.
     _finish_report holds the classes to the class count and the labeled
     count, as it holds build_census's; those formulas check the report, and
     no cardinality is taken from them.
     """
     _check_oracle_budget(p, d)
-    return _finish_report(p, d, _group_by_canonical(_word_tally(p, d), p))
+    return _finish_report(p, d, _group_by_canonical(_word_tally(p, d), p, d))
 
 
 class CensusDiff(NamedTuple):

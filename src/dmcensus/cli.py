@@ -22,6 +22,7 @@ from .census import (
     VerificationReport,
     _check_census_budget,
     _check_oracle_budget,
+    _finish_report,
     _plain_ints,
     _read_csv,
     build_census,
@@ -34,6 +35,7 @@ from .census import (
 from .core import (
     NODE_CAP,
     ArcMatrix,
+    CensusInvariantError,
     CountBudgetError,
     ResourceLimitError,
     total_configurations,
@@ -97,14 +99,16 @@ def _report_from_records(records: list[dict], source: str) -> CensusReport:
     Raises ValueError unless the records are the d-regular classes of one
     (p, d) census, p <= NODE_CAP, ranked 1, 2, ... by ascending canonical
     matrix.  Each monomial must be the canonical form of its class and carry
-    the computed |Aut| and the derived matrix, core.weight and cardinality; the
-    cardinalities must sum to total_configurations(p, d); a (p, d) whose count
-    is refused, such as any d >= 63, is refused before a monomial is parsed.
+    the computed |Aut| and the derived matrix, core.weight and cardinality; a
+    (p, d) whose count is refused, such as any d >= 63, is refused before a
+    monomial is parsed.  The classes then go to census._finish_report, which
+    makes the report and holds it to the labeled count, the class count and
+    total_configurations(p, d), as it holds every report.
     """
     if not records:
         raise ValueError(f"{source} has no records")
     p, d = records[0]["p"], records[0]["d"]
-    entries = []
+    classes = {}
     for rank, record in enumerate(records, start=1):
         try:
             if any(type(record[key]) is not int for key in COUNT_COLUMNS):
@@ -115,7 +119,7 @@ def _report_from_records(records: list[dict], source: str) -> CensusReport:
                 raise ValueError(f"p={record['p']}, d={record['d']} after p={p}, d={d}")
             if not 0 <= p <= NODE_CAP or d < 1:
                 raise ValueError(f"p={p}, d={d} outside 0 <= p <= {NODE_CAP}, d >= 1")
-            expected = total_configurations(p, d)
+            total_configurations(p, d)
             if record["rank"] != rank:
                 raise ValueError(f"rank {record['rank']} where {rank} is due")
             canonical = monomial_to_matrix(parse_monomial(record["monomial"]), p, d)
@@ -125,7 +129,7 @@ def _report_from_records(records: list[dict], source: str) -> CensusReport:
             if "matrix" in record and (record["matrix"] != matrix
                                        or json.dumps(record["matrix"]) != json.dumps(matrix)):
                 raise ValueError("matrix does not match the monomial")
-            if entries and canonical <= entries[-1].canonical:
+            if classes and canonical <= next(reversed(classes)):
                 raise ValueError("classes do not ascend by canonical matrix")
             result = canonical_form(canonical)
             if result.canonical != canonical:
@@ -139,11 +143,11 @@ def _report_from_records(records: list[dict], source: str) -> CensusReport:
                 raise ValueError(f"weight and cardinality are not the derived {derived}")
         except (ValueError, CountBudgetError) as exc:
             raise ValueError(f"{source} record {rank}: {exc}") from None
-        entries.append(CensusEntry(rank, record["cardinality"], canonical, aut_order))
-    report = CensusReport(p, d, tuple(entries))
-    if report.total != expected:
-        raise ValueError(f"{source} cardinalities sum to {report.total}, not {expected}")
-    return report
+        classes[canonical] = (aut_order, record["cardinality"])
+    try:
+        return _finish_report(p, d, classes)
+    except CensusInvariantError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def parse_census_csv(text: str) -> CensusReport:

@@ -51,7 +51,7 @@ from math import comb, factorial, gcd
 from operator import itemgetter, le
 
 from .canonical import CanonicalResult, _least_block, _result
-from .core import ArcMatrix, check_node_cap, total_configurations
+from .core import ArcMatrix, CensusInvariantError, check_node_cap, total_configurations
 
 # A configuration word is a length d*p tuple over node names 1..p in which
 # every name occurs exactly d times; block j (positions d*(j-1)..d*j-1) lists
@@ -168,11 +168,14 @@ def _fixed_matrices(lengths: tuple[int, ...], d: int) -> int:
     return count
 
 
+@cache
 def count_regular_matrices(p: int, d: int) -> int:
     """Length of enumerate_regular_matrices(p, d), counted without enumeration.
 
     The matrices fixed by the identity permutation, p cycles of length 1.
-    The stream's refusals apply.
+    The stream's refusals apply.  Each count is cached, as class_count's is,
+    so a command that checks several reports of one size counts once, and
+    canonical.clear_cache() empties the cache.
     """
     check_node_cap(p)
     total_configurations(p, d)
@@ -195,6 +198,8 @@ def class_count(p: int, d: int) -> int:
     Burnside's lemma over the cycle types λ of the relabelings:
     (1/p!) * sum of |C_λ| * Fix(λ), where the class C_λ holds
     p! / prod(k^m_k * m_k!) permutations for m_k cycles of length k.  The
+    sum must divide exactly by p!, or CensusInvariantError names the
+    remainder: one wrong Fix(λ) can leave the floored quotient right.  The
     stream's refusals apply.  Each count is cached, so a command that checks
     a budget and then a report counts once; a refusal raises and caches
     nothing, so the cache holds only admitted sizes, 199 ints at most, and
@@ -208,7 +213,10 @@ def class_count(p: int, d: int) -> int:
         for n, m in Counter(lengths).items():
             size //= n**m * factorial(m)
         total += size * _fixed_matrices(lengths, d)
-    return total // factorial(p)
+    classes, remainder = divmod(total, factorial(p))
+    if remainder:
+        raise CensusInvariantError(f"Burnside sum for p={p}, d={d} leaves {remainder} mod {p}!")
+    return classes
 
 
 def enumerate_words(p: int, d: int) -> Iterator[Word]:

@@ -31,6 +31,7 @@ from dmcensus import (
     enumerate_words,
     class_lookup,
     compare_census,
+    count_regular_matrices,
     load_catalog,
     matrix_to_monomial,
     oracle_census,
@@ -70,14 +71,14 @@ def test_census_null_graph(census_d2):
 def test_grouping_rejects_a_class_short_of_a_labeled_matrix():
     tally = Counter(tally_key(m.entries) for m in enumerate_regular_matrices(3, 2))
     consumed = tally.copy()
-    classes = _group_by_canonical(consumed, 3)
+    classes = _group_by_canonical(consumed, 3, 2)
     assert len(classes) == 8 and not consumed
     # a double loop beside a complete 2-node digraph: |Aut| = 2, 3 labelings
     missing = ArcMatrix(((2, 0, 0), (0, 1, 1), (0, 1, 1)))
     assert classes[canonical_form(missing).canonical][:2] == (2, 3)
     del tally[tally_key(missing.entries)]
     with pytest.raises(CensusInvariantError, match="orbit-stabilizer"):
-        _group_by_canonical(tally.copy(), 3)
+        _group_by_canonical(tally.copy(), 3, 2)
 
 
 class CallCountingCounter(Counter):
@@ -99,7 +100,7 @@ def test_grouping_pops_each_labeled_matrix_once(p, d):
     # each relabeling's key is hashed once, by its pop; no subset test reads keys()
     tally = CallCountingCounter(_word_tally(p, d))
     labeled = len(tally)
-    classes = _group_by_canonical(tally, p)
+    classes = _group_by_canonical(tally, p, d)
     assert not tally and len(classes) == class_count(p, d)
     assert (tally.pops, tally.keys_calls) == (labeled, 0)
 
@@ -113,7 +114,7 @@ def test_grouping_memory_follows_one_orbit():
     clear_cache()
     tracemalloc.start()
     try:
-        _group_by_canonical(tally, 5)
+        _group_by_canonical(tally, 5, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -129,7 +130,7 @@ def test_grouping_memory_at_degree_one_follows_the_byte_keys():
     clear_cache()
     tracemalloc.start()
     try:
-        _group_by_canonical(tally, 6)
+        _group_by_canonical(tally, 6, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -265,15 +266,17 @@ def test_census_has_the_burnside_class_count(p, d):
 
 
 def test_class_counts_are_cached_until_the_memo_is_cleared():
-    clear_cache()
-    assert class_count.cache_info().currsize == 0
-    assert class_count(5, 2) == class_count(5, 2) == 85
-    assert class_count.cache_info()[:2] == (1, 1)  # (hits, misses)
-    with pytest.raises(CountBudgetError):
-        class_count(5, 20)  # a refusal raises and caches nothing
-    assert class_count.cache_info().currsize == 1
-    clear_cache()
-    assert class_count.cache_info().currsize == 0
+    # the class count and the labeled count both
+    for count, expected in ((class_count, 85), (count_regular_matrices, 6_210)):
+        clear_cache()
+        assert count.cache_info().currsize == 0
+        assert count(5, 2) == count(5, 2) == expected
+        assert count.cache_info()[:2] == (1, 1)  # (hits, misses)
+        with pytest.raises(CountBudgetError):
+            count(5, 20)  # a refusal raises and caches nothing
+        assert count.cache_info().currsize == 1
+        clear_cache()
+        assert count.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("build", [build_census, oracle_census])

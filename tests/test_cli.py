@@ -25,7 +25,7 @@ from dmcensus.cli import (
     render_census_jsonl,
     render_census_text,
 )
-from dmcensus.generate import _canonical_rows, class_count
+from dmcensus.generate import _canonical_rows, class_count, count_regular_matrices
 
 SRC_DIR = str(Path(dmcensus.__file__).resolve().parent.parent)
 
@@ -148,6 +148,10 @@ P2_UNSORTED = (
 )
 
 
+def drop_last_record(text):
+    return "".join(text.splitlines(keepends=True)[:-1])
+
+
 @pytest.mark.parametrize(
     "parse, text",
     [
@@ -188,11 +192,42 @@ P2_UNSORTED = (
                      id="jsonl-bool"),
         pytest.param(parse_census_jsonl, P2_JSONL.replace("[[0,2],[2,0]]", "[[0.0,2],[2,0e0]]"),
                      id="jsonl-float"),
+        # every record checks, but the census lacks its last class
+        pytest.param(parse_census_csv, drop_last_record(P3_CSV), id="csv-record-dropped"),
+        pytest.param(parse_census_jsonl, drop_last_record(P2_JSONL), id="jsonl-record-dropped"),
     ],
 )
 def test_census_parsers_raise_value_error(parse, text):
     with pytest.raises(ValueError):
         parse(text)
+
+
+@pytest.mark.parametrize("parse, text, source", [
+    (parse_census_csv, P3_CSV, "census CSV"),
+    (parse_census_jsonl, render_census_jsonl(build_census(3, 2), {}), "census JSONL"),
+], ids=["csv", "jsonl"])
+def test_census_parsers_hold_a_short_census_to_the_labeled_count(parse, text, source):
+    # the last class of (3,2), x11 x11 x22 x22 x33 x33, holds 1 labeled matrix
+    with pytest.raises(ValueError, match=(
+        f"^{source}: census for p=3, d=2 holds 20 labeled matrices, expected 21$"
+    )):
+        parse(drop_last_record(text))
+
+
+@pytest.mark.parametrize("parse, text", [(parse_census_csv, P3_CSV),
+                                         (parse_census_jsonl, P2_JSONL)], ids=["csv", "jsonl"])
+def test_census_parsers_finish_each_report_once(monkeypatch, parse, text):
+    # the parsers make no report of their own: the one report check makes it
+    calls = []
+
+    def counting_finish(p, d, classes):
+        calls.append((p, d))
+        return finish(p, d, classes)
+
+    finish = dmcensus.cli._finish_report
+    monkeypatch.setattr(dmcensus.cli, "_finish_report", counting_finish)
+    report = parse(text)
+    assert calls == [(report.p, report.d)]
 
 
 def test_a_record_past_the_largest_degree_is_refused_before_parsing(monkeypatch):
@@ -654,10 +689,12 @@ def test_render_refuses_a_rank_past_the_class_count_before_the_build(
              ["census", "-p", "4"]]
 )
 def test_lookup_and_render_count_the_classes_once(args):
-    # the budget check's count is cached, and the report check reads it there
+    # the budget check's count is cached, and the report check reads it there;
+    # the labeled count is cached too, so verify's two reports make it once
     clear_cache()
     assert run_cli(args) == 0
     assert class_count.cache_info().misses == 1
+    assert count_regular_matrices.cache_info().misses == 1
 
 
 def test_lookup_checks_the_degrees_before_the_build(monkeypatch, capsys):

@@ -10,6 +10,7 @@ import pytest
 import dmcensus.generate
 from dmcensus import (
     ArcMatrix,
+    CensusInvariantError,
     CountBudgetError,
     NodeCapError,
     canonical_form,
@@ -118,6 +119,20 @@ def test_class_count_refusals():
         with pytest.raises(CountBudgetError):
             class_count(p, 63)
     assert class_count(0, 62) == class_count(1, 62) == 1
+
+
+def test_class_count_refuses_a_burnside_sum_that_p_factorial_does_not_divide(monkeypatch):
+    # One more matrix fixed by each of the 10 permutations of cycle type
+    # (1, 1, 1, 2) adds 10 to the sum; its quotient by 5! still floors to 85.
+    fixed = dmcensus.generate._fixed_matrices
+
+    def off_by_one(lengths, d):
+        return fixed(lengths, d) + (lengths == (1, 1, 1, 2))
+
+    monkeypatch.setattr(dmcensus.generate, "_fixed_matrices", off_by_one)
+    clear_cache()  # the refusal caches nothing
+    with pytest.raises(CensusInvariantError, match="p=5, d=2 leaves 10 mod 5!"):
+        class_count(5, 2)
 
 
 def test_four_node_matrices_match_word_projections():

@@ -42,6 +42,21 @@ def test_package_modules_use_every_name_they_import():
     assert unused == []
 
 
+def test_only_the_report_check_makes_census_reports():
+    # census._finish_report checks every report it makes; an entry or a
+    # report made anywhere else in the package would skip its identities.
+    makers = []
+    for path in PACKAGE:
+        for top in ast.parse(path.read_text("utf-8")).body:
+            for node in ast.walk(top):
+                func = getattr(node, "func", None)
+                if isinstance(func, ast.Attribute):  # CensusReport._make(...) and the like
+                    func = func.value
+                if isinstance(func, ast.Name) and func.id in {"CensusEntry", "CensusReport"}:
+                    makers.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert makers == ["census._finish_report"] * 2
+
+
 def test_package_exports_exactly_what_it_imports():
     # A name dropped from __init__'s imports but left in __all__ passes every
     # other test and breaks only "from dmcensus import *".
