@@ -5,10 +5,10 @@ Two independent routes produce the census for (p, d).
 * build_census takes each class's canonical matrix once, in rank order,
   from the orderly generator generate._canonical_rows, which lists no
   labeled matrix, together with the CanonicalResult of the walk that
-  accepted it.  That result must be the matrix itself, and gives |Aut|, and
-  the class cardinality is computed analytically as
-  (p!/|Aut|) * weight(canonical).  The class count is made first, and a
-  census above CLASS_BUDGET classes is refused.
+  accepted it.  That result must be the matrix itself, which must be
+  d-regular, and gives |Aut|, and the class cardinality is computed
+  analytically as (p!/|Aut|) * weight(canonical).  The class count is made
+  first, and a census above CLASS_BUDGET classes is refused.
 * oracle_census counts configuration words per matrix and takes each class
   cardinality as its raw word count, with no counting formula.
   _group_by_canonical consumes the tally, the key of each labeled matrix
@@ -37,9 +37,11 @@ relabelings.  The oracle counts every word under a key of its matrix,
 unchecked, without listing the words.  In place of a per-word check,
 _group_by_canonical requires each class's canonical matrix to be d-regular:
 a word with a wrong multiset projects to a non-regular matrix, so its class
-fails this check (or the orbit-stabilizer one).  The build's classes are
-checked by core.weight and the parser's by monomial_to_matrix, where they
-enter, so the report check does not check regularity again.
+fails this check (or the orbit-stabilizer one).  The build requires each
+generated class to be d-regular where it reads it, as a library invariant,
+before core.weight, and the parser's classes are checked by
+monomial_to_matrix, where they enter, so the report check does not check
+regularity again.
 
 A CensusEntry stores its rank, cardinality, canonical matrix and |Aut|, and
 takes p from the report that holds it; every other count is derived, its
@@ -236,16 +238,16 @@ def build_census(p: int, d: int) -> CensusReport:
     generate._canonical_rows yields each class's canonical matrix once, in
     rank order, without listing the labeled matrices, and with the
     CanonicalResult of the one walk that accepted it; the build searches no
-    matrix again.  The walk's least block must be the matrix itself, and
-    its |Aut| gives the class p!/|Aut| labeled matrices and cardinality
-    (p!/|Aut|) * weight.  _finish_report then requires the labeled matrices
-    over all classes to number count_regular_matrices, and the classes
-    class_count, two exact counts made without the generator, so a class it
-    misses and an |Aut| it gets wrong are caught.  Once every check holds,
-    each class's result goes into the canonical_form memo, where the parsers
-    and catalog verification look the canonical matrices up.  The class
-    count is made first, and a census of more than CLASS_BUDGET classes is
-    refused with CountBudgetError.
+    matrix again.  The walk's least block must be the matrix itself, which
+    must be d-regular, and its |Aut| gives the class p!/|Aut| labeled
+    matrices and cardinality (p!/|Aut|) * weight.  _finish_report then
+    requires the labeled matrices over all classes to number
+    count_regular_matrices, and the classes class_count, two exact counts
+    made without the generator, so a class it misses and an |Aut| it gets
+    wrong are caught.  Once every check holds, each class's result goes into
+    the canonical_form memo, where the parsers and catalog verification look
+    the canonical matrices up.  The class count is made first, and a census
+    of more than CLASS_BUDGET classes is refused with CountBudgetError.
     """
     _check_census_budget(p, d)
     return _build_census(p, d)
@@ -261,6 +263,8 @@ def _build_census(p: int, d: int) -> CensusReport:
                 f"generated matrix {ArcMatrix(rows)} is not canonical; "
                 f"its class has {result.canonical}"
             )
+        if not is_regular(result.canonical, d):
+            raise CensusInvariantError(f"generated matrix {result.canonical} is not {d}-regular")
         classes[result.canonical] = result
     cardinalities = {
         canon: (r.aut_order, math.factorial(p) // r.aut_order * weight(canon, d))
@@ -306,7 +310,8 @@ def _check_oracle_budget(p: int, d: int) -> None:
     (no size within WORD_BUDGET has more than 397 classes, at (6,2)).  The
     count costs about 2 ms of CPU at (6,2) and at (9,1), the largest sizes
     the budgets admit (mean of 50 calls, one core of a 2-vCPU host), and is
-    made once per size: class_count caches it."""
+    made once per size: class_count reads generate._burnside_table, which
+    is cached."""
     check_node_cap(p)
     words = total_configurations(p, d)
     if words > WORD_BUDGET:

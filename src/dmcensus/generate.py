@@ -12,10 +12,11 @@ fixes one row of the least relabeling per level and stops at the first row
 below the given one, and the walk that accepts a whole matrix gives its
 canonical._result), so it yields each class's canonical matrix once, in
 rank order, and never lists the labeled matrices.
-Two exact counts share one DP, _fixed_matrices, which counts the matrices a
-relabeling of a given cycle type fixes, and neither shares code with the
-streams: count_regular_matrices is its value at the identity, the length of
-the labeled stream, and class_count sums it over cycle types by Burnside's
+Two exact counts read one cached table per size, _burnside_table, whose
+terms come from one DP, _fixed_matrices, run once per cycle type, which
+counts the matrices a relabeling of that cycle type fixes; neither shares
+code with the streams: count_regular_matrices is the identity's term, the
+length of the labeled stream, and class_count sums the terms by Burnside's
 lemma, the length of the canonical stream.  A census checks its classes
 against both.
 
@@ -45,9 +46,9 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable, Iterator
-from functools import cache
+from functools import cache, lru_cache
 from itertools import chain, product, repeat
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, prod
 from operator import itemgetter, le
 
 from .canonical import CanonicalResult, _least_block, _result
@@ -168,20 +169,6 @@ def _fixed_matrices(lengths: tuple[int, ...], d: int) -> int:
     return count
 
 
-@cache
-def count_regular_matrices(p: int, d: int) -> int:
-    """Length of enumerate_regular_matrices(p, d), counted without enumeration.
-
-    The matrices fixed by the identity permutation, p cycles of length 1.
-    The stream's refusals apply.  Each count is cached, as class_count's is,
-    so a command that checks several reports of one size counts once, and
-    canonical.clear_cache() empties the cache.
-    """
-    check_node_cap(p)
-    total_configurations(p, d)
-    return _fixed_matrices((1,) * p, d)
-
-
 def _partitions(n: int, most: int) -> Iterator[tuple[int, ...]]:
     """The partitions of n into parts of at most `most`, each part list ascending."""
     if n == 0:
@@ -191,28 +178,49 @@ def _partitions(n: int, most: int) -> Iterator[tuple[int, ...]]:
             yield (*rest, part)
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
+def _burnside_table(p: int, d: int) -> dict[tuple[int, ...], tuple[int, int]]:
+    """The terms of Burnside's lemma for the d-regular p x p matrices: each
+    cycle type λ of the relabelings, its lengths ascending, mapped to
+    (|C_λ|, Fix(λ)).
+
+    The class C_λ holds p! / prod(k^m_k * m_k!) permutations for m_k cycles
+    of length k, and Fix(λ) is _fixed_matrices(λ, d), the matrices each of
+    them fixes.  The stream's refusals apply first, so a refused size
+    raises and caches nothing.  The table is cached, typed, so each size's
+    DP runs once per cycle type for both exact counts, 199 tables at most,
+    and a size given as 2.0 is refused as it would be on a cold cache;
+    canonical.clear_cache() empties the cache.  Callers only read it.
+    """
+    check_node_cap(p)
+    total_configurations(p, d)
+    table = {}
+    for lengths in _partitions(p, p):
+        size = factorial(p) // prod(n**m * factorial(m) for n, m in Counter(lengths).items())
+        table[lengths] = size, _fixed_matrices(lengths, d)
+    return table
+
+
+def count_regular_matrices(p: int, d: int) -> int:
+    """Length of enumerate_regular_matrices(p, d), counted without enumeration.
+
+    The matrices fixed by the identity permutation, p cycles of length 1:
+    that term of _burnside_table(p, d), whose refusals and cache apply.
+    """
+    return _burnside_table(p, d)[(1,) * p][1]
+
+
 def class_count(p: int, d: int) -> int:
     """The number of isomorphism classes of p x p d-regular matrices.
 
     Burnside's lemma over the cycle types λ of the relabelings:
-    (1/p!) * sum of |C_λ| * Fix(λ), where the class C_λ holds
-    p! / prod(k^m_k * m_k!) permutations for m_k cycles of length k.  The
-    sum must divide exactly by p!, or CensusInvariantError names the
-    remainder: one wrong Fix(λ) can leave the floored quotient right.  The
-    stream's refusals apply.  Each count is cached, so a command that checks
-    a budget and then a report counts once; a refusal raises and caches
-    nothing, so the cache holds only admitted sizes, 199 ints at most, and
-    canonical.clear_cache() empties it.
+    (1/p!) * sum of |C_λ| * Fix(λ), the terms of _burnside_table(p, d),
+    whose refusals and cache apply, so a command that checks a budget and
+    then a report counts once.  The sum must divide exactly by p!, or
+    CensusInvariantError names the remainder: one wrong Fix(λ) can leave
+    the floored quotient right.
     """
-    check_node_cap(p)
-    total_configurations(p, d)
-    total = 0
-    for lengths in _partitions(p, p):
-        size = factorial(p)
-        for n, m in Counter(lengths).items():
-            size //= n**m * factorial(m)
-        total += size * _fixed_matrices(lengths, d)
+    total = sum(size * fixed for size, fixed in _burnside_table(p, d).values())
     classes, remainder = divmod(total, factorial(p))
     if remainder:
         raise CensusInvariantError(f"Burnside sum for p={p}, d={d} leaves {remainder} mod {p}!")

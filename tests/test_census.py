@@ -160,6 +160,19 @@ def test_build_census_checks_each_search_of_a_generated_matrix(monkeypatch, chan
     assert not _memo  # a census that fails a check memoizes nothing
 
 
+def test_build_census_refuses_a_generated_class_that_is_not_regular(monkeypatch):
+    # a library bug, not a usage error: the generator's class fails where the
+    # build reads it, before core.weight would raise RegularityError
+    rows = ((1, 0), (0, 2))
+    result = canonical_form(ArcMatrix(rows))
+    assert result.canonical.entries == rows
+    monkeypatch.setattr(dmcensus.census, "_canonical_rows", lambda p, d: iter([(rows, result)]))
+    clear_cache()
+    with pytest.raises(CensusInvariantError, match="generated matrix 1 0; 0 2 is not 2-regular"):
+        build_census(2, 2)
+    assert not _memo
+
+
 @pytest.mark.parametrize(
     "build, p, d, classes",
     [(build_census, 5, 2, 85), (oracle_census, 4, 3, 118), (build_census, 6, 1, 11)],
@@ -266,17 +279,18 @@ def test_census_has_the_burnside_class_count(p, d):
 
 
 def test_class_counts_are_cached_until_the_memo_is_cleared():
-    # the class count and the labeled count both
+    # the class count and the labeled count both read one cached Burnside table
+    table = dmcensus.generate._burnside_table
     for count, expected in ((class_count, 85), (count_regular_matrices, 6_210)):
         clear_cache()
-        assert count.cache_info().currsize == 0
+        assert table.cache_info().currsize == 0
         assert count(5, 2) == count(5, 2) == expected
-        assert count.cache_info()[:2] == (1, 1)  # (hits, misses)
+        assert table.cache_info()[:2] == (1, 1)  # (hits, misses)
         with pytest.raises(CountBudgetError):
             count(5, 20)  # a refusal raises and caches nothing
-        assert count.cache_info().currsize == 1
+        assert table.cache_info().currsize == 1
         clear_cache()
-        assert count.cache_info().currsize == 0
+        assert table.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("build", [build_census, oracle_census])
@@ -567,12 +581,28 @@ def _euler_transform(connected):
     return counts
 
 
-@pytest.mark.parametrize("d, top", [(2, 6), (1, 8), (3, 4)])
+def _inverse_euler_transform(counts):
+    """The connected counts c_1..c_n of which counts[0..n], counts[0] == 1,
+    are the multiset counts; every division must be exact."""
+    sums = [0]  # sums[n] is the sum of k * c_k over the divisors k of n
+    for n in range(1, len(counts)):
+        sums.append(n * counts[n] - sum(sums[k] * counts[n - k] for k in range(1, n)))
+    connected = [0]
+    for n in range(1, len(counts)):
+        c, remainder = divmod(sums[n] - sum(k * connected[k] for k in range(1, n) if n % k == 0), n)
+        assert remainder == 0
+        connected.append(c)
+    return connected[1:]
+
+
+CONNECTED_CLASSES = {1: [1] * 8, 2: [1, 2, 5, 14, 50, 265], 3: [1, 3, 12, 96], 4: [1, 4, 26]}
+
+
+@pytest.mark.parametrize("d, top", [(2, 6), (1, 8), (3, 4), (4, 3)])
 def test_classes_are_multisets_of_connected_classes(d, top):
     # Each weak component of a d-regular digraph is d-regular, so a class is
     # a multiset of connected classes, and |Aut| of a disjoint union is the
-    # product of |Aut(c)|^m * m! over its component types.  At d = 2 the
-    # connected counts for p = 1..6 are 1, 2, 5, 14, 50, 265.
+    # product of |Aut(c)|^m * m! over its component types.
     connected = [0] * (top + 1)
     for p in range(1, top + 1):
         for entry in build_census(p, d).entries:
@@ -588,7 +618,9 @@ def test_classes_are_multisets_of_connected_classes(d, top):
             assert entry.aut_order == math.prod(
                 aut**m * math.factorial(m) for (_, aut), m in types.items()
             ), entry.canonical
-    assert _euler_transform(connected) == [class_count(p, d) for p in range(top + 1)]
+    counts = [class_count(p, d) for p in range(top + 1)]
+    assert _euler_transform(connected) == counts
+    assert _inverse_euler_transform(counts) == connected[1:] == CONNECTED_CLASSES[d]
 
 
 def test_compare_census_reflexive(census_d2):
@@ -727,6 +759,14 @@ def test_class_lookup_returns_the_reports_own_entry(census_d2, p):
         matrix = ArcMatrix(relabel(rows, rng.sample(range(p), p)))
         mono = parse_monomial(str(matrix_to_monomial(matrix)))
         assert class_lookup(report, mono) is report.entries[entry.rank - 1]
+
+
+def test_class_lookup_refuses_a_class_the_report_lacks(monkeypatch, census_d2):
+    # a complete census holds every class, so a miss is a library bug
+    stray = canonical_form(ArcMatrix(((1, 0, 0), (0, 1, 0), (0, 0, 1))))
+    monkeypatch.setattr(dmcensus.census, "canonical_form", lambda matrix: stray)
+    with pytest.raises(CensusInvariantError, match="complete census has no class"):
+        class_lookup(census_d2(3), parse_monomial("x11 x11 x22 x22 x33 x33"))
 
 
 def test_census_records_hold_each_fact_once():

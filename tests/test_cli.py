@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import dmcensus
 import dmcensus.census
 import dmcensus.cli
+import dmcensus.generate
 from dmcensus import ArcMatrix, build_census, emit_dot, oracle_census, run_cli, weight
 from dmcensus.canonical import clear_cache
 from dmcensus.cli import (
@@ -25,7 +26,7 @@ from dmcensus.cli import (
     render_census_jsonl,
     render_census_text,
 )
-from dmcensus.generate import _canonical_rows, class_count, count_regular_matrices
+from dmcensus.generate import _canonical_rows
 
 SRC_DIR = str(Path(dmcensus.__file__).resolve().parent.parent)
 
@@ -688,13 +689,34 @@ def test_render_refuses_a_rank_past_the_class_count_before_the_build(
              ["render", "--class", "4,8"], ["oracle", "-p", "4"], ["verify", "-p", "4"],
              ["census", "-p", "4"]]
 )
-def test_lookup_and_render_count_the_classes_once(args):
-    # the budget check's count is cached, and the report check reads it there;
-    # the labeled count is cached too, so verify's two reports make it once
+def test_lookup_and_render_count_the_classes_once(monkeypatch, args):
+    # the budget check's class count and the report check's labeled count read
+    # one cached Burnside table, so verify's two reports make it once, and its
+    # DP runs once for each of the 5 cycle types of 4 nodes
+    calls = []
+    fixed = dmcensus.generate._fixed_matrices
+    monkeypatch.setattr(dmcensus.generate, "_fixed_matrices",
+                        lambda lengths, d: calls.append(lengths) or fixed(lengths, d))
     clear_cache()
     assert run_cli(args) == 0
-    assert class_count.cache_info().misses == 1
-    assert count_regular_matrices.cache_info().misses == 1
+    assert dmcensus.generate._burnside_table.cache_info().misses == 1
+    assert sorted(calls) == [(1, 1, 1, 1), (1, 1, 2), (1, 3), (2, 2), (4,)]
+
+
+def test_clear_cache_empties_every_cache_of_the_package():
+    # the bench's cold rounds rely on it: no module-level cache it misses
+    assert run_cli(["verify", "-p", "3"]) == 0
+    caches = [
+        obj
+        for name, module in sys.modules.items()
+        if name == "dmcensus" or name.startswith("dmcensus.")
+        for obj in vars(module).values()
+        if hasattr(obj, "cache_info")
+    ]
+    assert any(obj.cache_info().currsize for obj in caches)
+    clear_cache()
+    assert [obj for obj in caches if obj.cache_info().currsize] == []
+    assert not dmcensus.canonical._memo
 
 
 def test_lookup_checks_the_degrees_before_the_build(monkeypatch, capsys):

@@ -130,9 +130,21 @@ def test_class_count_refuses_a_burnside_sum_that_p_factorial_does_not_divide(mon
         return fixed(lengths, d) + (lengths == (1, 1, 1, 2))
 
     monkeypatch.setattr(dmcensus.generate, "_fixed_matrices", off_by_one)
-    clear_cache()  # the refusal caches nothing
-    with pytest.raises(CensusInvariantError, match="p=5, d=2 leaves 10 mod 5!"):
-        class_count(5, 2)
+    clear_cache()
+    try:
+        with pytest.raises(CensusInvariantError, match="p=5, d=2 leaves 10 mod 5!"):
+            class_count(5, 2)
+    finally:
+        clear_cache()  # the Burnside table holds the mutant's terms
+
+
+def test_counts_refuse_a_float_size_after_the_int_size_ran():
+    # the cache is typed: 2.0 == 2 hashes alike, yet a warm cache must not answer it
+    assert class_count(2, 2) == count_regular_matrices(2, 2) == 3
+    for count in (class_count, count_regular_matrices):
+        for args in ((2.0, 2), (2, 2.0)):
+            with pytest.raises(TypeError):
+                count(*args)
 
 
 def test_four_node_matrices_match_word_projections():

@@ -2,7 +2,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dmcensus import (
@@ -130,6 +130,7 @@ def _read(parse, text):
     st.lists(st.one_of(FACTOR, TOKENS, st.sampled_from(["١", "１", "0001"])), max_size=8)
     .map("".join),
 ))
+@example("x11 ")  # the scanner's stop at trailing whitespace
 def test_parse_agrees_with_the_scanner(text):
     # the pattern reads well-formed text; the scanner names every error
     assert _read(parse_monomial, text) == _read(monomial._scan_monomial, text)
